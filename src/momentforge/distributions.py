@@ -107,12 +107,6 @@ class DiscreteDistribution:
         wts = self.weights[keep]
         return DiscreteDistribution(self.support[keep], wts / wts.sum())
 
-    def sorted_1d(self):
-        if self.d != 1:
-            raise ValueError("only 1-D supports can be sorted")
-        order = np.argsort(self.support, kind="stable")
-        return DiscreteDistribution(self.support[order], self.weights[order])
-
     def mean(self):
         return self.support.T @ self.weights
 

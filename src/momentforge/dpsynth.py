@@ -31,12 +31,11 @@ from .distributions import (
     round_to_grid,
 )
 from .recovery import (
+    EXACT_MAX_ENTRIES,
     INIT_DAMPED,
+    DenseBasis,
     RecoveryConfig,
-    _DenseBasis,
-    _accelerated_simplex_minimize,
-    _active_set_polish,
-    _weighted_lsq_objective,
+    fit_simplex,
     power_step_bound,
     solve_weighted_qp,
 )
@@ -205,12 +204,14 @@ def _cached_qp_pieces(grid, k):
         basis, bound, pts = hit
         if np.array_equal(pts, grid.points):
             return basis, bound
-    if grid.size * k >= _FoldedUniformBasis.MIN_SIZE:
+    if grid.size * k >= EXACT_MAX_ENTRIES:
+        # only the first-order solver runs at this size, so it alone needs
+        # the folded table and the step bound
         basis = _FoldedUniformBasis(grid.points, k)
+        j = np.arange(1, k + 1)
+        bound = power_step_bound(basis, 1.0 / (j * j))
     else:
-        basis = _DenseBasis(cheb_t_table(k, grid.points)[1:])
-    j = np.arange(1, k + 1)
-    bound = power_step_bound(basis, 1.0 / (j * j))
+        basis, bound = DenseBasis(cheb_t_table(k, grid.points)[1:]), None
     _qp_cache.clear()  # keep at most one (large) cached basis
     _qp_cache[key] = (basis, bound, grid.points)
     return basis, bound
@@ -221,11 +222,9 @@ class _FoldedUniformBasis:
 
     T_j(-x) = (-1)^j T_j(x), so even-degree rows act on z_i + z_{-i} and
     odd-degree rows on z_i - z_{-i}; both half-size tables together hold
-    half the entries of the dense table. Stored in single precision at the
-    sizes where this basis is selected.
+    half the entries of the dense table. Stored in single precision: it is
+    only built at EXACT_MAX_ENTRIES entries or more.
     """
-
-    MIN_SIZE = 4_000_000
 
     def __init__(self, points, k):
         r = points.shape[0]
@@ -264,9 +263,6 @@ class _FoldedUniformBasis:
         out[self.mid + 1 :] = even_half[1:] + odd_half
         out[self.mid - 1 :: -1] = even_half[1:] - odd_half
         return out
-
-    def rows_for(self, indices):
-        return cheb_t_table(self.k, self.points[indices])[1:]
 
 
 def synthesize_from_noisy_moments(noisy, grid, solver_cfg=None):
@@ -354,13 +350,16 @@ def _tensor_moment_rows(grid, indices, m):
     return rows
 
 
-def dp_synthesize_multi(data, budget, seed, sigma2_override=None, tolerance=1e-9, max_iters=20000):
+def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     """The d in {2,3} tensor pipeline.
 
     Per-coordinate spacing 1/ceil((eps n)^{1/d}), degrees up to
     m = ceil(2 (eps n)^{1/d}), per-index noise variance ||K||_2 sigma^2 with
     sigma^2 built from the exact norm sum, and a 1/||K||_2^2-weighted fit of
-    the normalized tensor moments over the tensor grid.
+    the normalized tensor moments over the tensor grid through
+    `fit_simplex`: exact below EXACT_MAX_ENTRIES table entries, else
+    accelerated projected gradient (relative stall tolerance 1e-9, at most
+    20000 iterations).
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
@@ -399,30 +398,14 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None, tolerance=1e-9
 
     norms_sq = np.array([sum(v * v for v in K) for K in indices], dtype=float)
     weights = 1.0 / norms_sq
-    basis = _DenseBasis(rows)
-    bound = power_step_bound(basis, weights)
+    basis = DenseBasis(rows)
     z0 = np.full(basis.size, 1.0 / basis.size)
-    objective = _weighted_lsq_objective(weights, noisy.values)
-    z, z_img, f, iters, converged, _ = _accelerated_simplex_minimize(
-        basis,
-        objective,
-        z0,
-        1.0 / bound,
-        tolerance,
-        max_iters,
-    )
-    if f <= 1e-4:
-        polished = _active_set_polish(basis, weights, noisy.values, z)
-        if polished is not None:
-            f_polished, _ = objective(basis.apply(polished))
-            if f_polished < f:
-                z, f = polished, f_polished
-                if f <= 1e-20:
-                    converged = True
+    solution = fit_simplex(basis, weights, noisy.values, z0, 1e-9, 20000)
+    z, f = solution.weights, solution.objective
     dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
     # same noise-floor convergence notion as the 1-D pipeline: the expected
     # residual energy of the release is sigma^2 * sum 1/||K||
-    converged = converged or f <= sigma2 * s
+    converged = solution.converged or f <= sigma2 * s
     report = DpSynthesisReport(
         n=n,
         k=len(indices),
@@ -433,7 +416,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None, tolerance=1e-9
         hp_bound_beta05=float("nan"),
         clamped=clamped,
         objective=f,
-        iterations=iters,
+        iterations=solution.iterations,
         converged=converged,
         d=d,
         norm_sum=s,

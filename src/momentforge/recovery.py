@@ -1,10 +1,13 @@
 """Distribution recovery from (noisy) Chebyshev moments.
 
-A weighted least-squares fit over the probability simplex on a grid
-(accelerated projected gradient with gradient restarts and best-iterate
-tracking), the feasibility variant with per-moment tolerance boxes, and the
-simplex projection they share. On Chebyshev-node grids the moment map is applied through a DCT, so
-large grids never materialize a dense basis.
+A weighted least-squares fit over the probability simplex on a grid, the
+feasibility variant with per-moment tolerance boxes, and the simplex
+projection they share. `fit_simplex` is the one place that picks a method:
+below EXACT_MAX_ENTRIES moment-table entries (k times the grid size) it
+solves the fit exactly with a Lawson-Hanson active set; at or above it, it
+runs accelerated projected gradient with gradient restarts and best-iterate
+tracking. On Chebyshev-node grids the moment map is applied through a DCT,
+so large grids never materialize a dense basis.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .distributions import (
 )
 
 PRUNE_THRESHOLD = 1e-15
+
+# k times the grid size below which fits are solved exactly; at or above it
+# the first-order method runs and dense moment tables are stored in float32
+EXACT_MAX_ENTRIES = 4_000_000
 
 INIT_UNIFORM = "uniform"
 INIT_DAMPED = "damped_series"
@@ -117,18 +124,17 @@ def simplex_project(v):
     return np.maximum(vec - theta, 0.0)
 
 
-class _DenseBasis:
+class DenseBasis:
     """Moment map z -> (sum_i z_i T_j(x_i))_{j=1..k} as an explicit matrix.
 
-    Very large tables are stored in single precision: the matrix-vector
-    bandwidth halves, and the ~1e-7 relative error sits far below the noise
-    floors of the problems big enough to trigger it.
+    Tables of EXACT_MAX_ENTRIES entries or more only ever meet the
+    first-order solver, so they are stored in single precision: the
+    matrix-vector bandwidth halves, and the ~1e-7 relative error sits far
+    below the noise floors of the problems big enough to trigger it.
     """
 
-    _SINGLE_PRECISION_SIZE = 4_000_000
-
     def __init__(self, rows):
-        if rows.size >= self._SINGLE_PRECISION_SIZE:
+        if rows.size >= EXACT_MAX_ENTRIES:
             rows = rows.astype(np.float32)
         self.rows = rows
         self.k, self.size = rows.shape
@@ -141,9 +147,8 @@ class _DenseBasis:
         out = self.rows.T @ v.astype(self.rows.dtype, copy=False)
         return out.astype(np.float64, copy=False)
 
-    def rows_for(self, indices):
-        # single-precision tables only arise beyond the polish work gates
-        return np.asarray(self.rows[:, indices], dtype=np.float64)
+    def dense(self):
+        return self.rows
 
 
 class _DctBasis:
@@ -168,19 +173,14 @@ class _DctBasis:
         full[1 : self.k + 1] = v
         return scipy.fft.dct(full, type=3) / 2.0
 
-    def rows_for(self, indices):
-        return cheb_t_table(self.k, self.nodes[indices])[1:]
+    def dense(self):
+        return cheb_t_table(self.k, self.nodes)[1:]
 
 
 def _make_basis(grid, k):
     if grid.kind == CHEBYSHEV_NODES and k < grid.size and grid.size >= 64:
         return _DctBasis(grid.size, k)
-    return _DenseBasis(cheb_t_table(k, grid.points)[1:])
-
-
-def dense_moment_rows(grid, k):
-    """Explicit (k, g) table of T_j over the grid, matching cheb_moments."""
-    return cheb_t_table(k, grid.points)[1:]
+    return DenseBasis(cheb_t_table(k, grid.points)[1:])
 
 
 def power_step_bound(basis, weights, iters=50, headroom=1.1):
@@ -213,18 +213,13 @@ def _accelerated_simplex_minimize(
     max_iters,
     keep_trace=False,
     stop_on_zero=False,
-    finisher=None,
-    finisher_every=250,
 ):
     """Accelerated projected gradient over the simplex, gradient restarts,
     best-iterate tracking (so the reported sequence is monotone).
 
     `objective(image)` returns (value, d value / d image). Momentum images
     are tracked as linear combinations of stored moment vectors, so each
-    iteration costs one forward and one adjoint application. A `finisher`
-    callback, polled every `finisher_every` iterations with the incumbent
-    (weights, value), may return a terminal (weights, value) pair; it never
-    perturbs the trajectory otherwise.
+    iteration costs one forward and one adjoint application.
     """
     z = np.asarray(z0, dtype=float)
     z_img = basis.apply(z)
@@ -271,67 +266,104 @@ def _accelerated_simplex_minimize(
             if gain <= tolerance * max(f_best, 1e-300):
                 converged = True
                 break
-        if finisher is not None and iterations % finisher_every == 0:
-            terminal = finisher(best, f_best)
-            if terminal is not None:
-                best, f_best = terminal
-                best_img = basis.apply(best)
-                converged = True
-                if keep_trace:
-                    trace.append(f_best)
-                break
 
     trace_arr = np.asarray(trace) if keep_trace else None
     return best, best_img, f_best, iterations, converged, trace_arr
 
 
-_POLISH_MAX_ACTIVE = 600
-_POLISH_MAX_WORK = 8_000_000
-_POLISH_MAX_ROUNDS = 40
-_POLISH_OBJECTIVE_GATE = 1e-4
+def _simplex_lsq_on(a, b, support):
+    """argmin ||a_S s - b|| subject to sum s = 1, on the columns in `support`.
 
-
-def _active_set_polish(basis, weights, target, z):
-    """Exact equality-constrained solve on the support the iteration found.
-
-    Solves the KKT system of min ||W^(1/2)(B_S z_S - m)||^2 s.t. sum z_S = 1,
-    batch-dropping negative coordinates until the solution is feasible.
-    Only attempted for small supports; returns None when skipped or failed.
+    The constraint is eliminated through the first column of the support
+    (s_0 = 1 - sum of the rest), leaving an unconstrained least squares.
     """
-    active = np.flatnonzero(z > 1e-10)
-    if active.size == 0 or active.size > _POLISH_MAX_ACTIVE:
-        return None
-    if basis.k * active.size > _POLISH_MAX_WORK:
-        return None
-    rows = np.asarray(basis.rows_for(active))
-    for _ in range(_POLISH_MAX_ROUNDS):
-        if active.size == 0:
-            return None
-        s = active.size
-        weighted = rows * weights[:, None]
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * rows.T @ weighted
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.concatenate([2.0 * weighted.T @ target, [1.0]])
-        try:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        z_active = sol[:s]
-        if z_active.min() >= -1e-12:
-            out = np.zeros_like(z)
-            out[active] = np.maximum(z_active, 0.0)
-            total = out.sum()
-            if total <= 0 or not np.all(np.isfinite(out)):
-                return None
-            return out / total
-        keep = z_active > -1e-12
-        if keep.all():
-            return None
-        active = active[keep]
-        rows = rows[:, keep]
-    return None
+    ref = a[:, support[0]]
+    rest, *_ = np.linalg.lstsq(a[:, support[1:]] - ref[:, None], b - ref, rcond=None)
+    return np.concatenate([[1.0 - rest.sum()], rest])
+
+
+def _exact_simplex_fit(rows, weights, target, keep_trace=False):
+    """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, by a Lawson-Hanson
+    active set (Lawson & Hanson, Solving Least Squares Problems, 1974).
+
+    Starts at the best vertex. Each outer step adds the outside coordinate
+    with the smallest gradient, then solves the equality-constrained fit on the
+    support, stepping back to the boundary and dropping the coordinates
+    that leave it until the fit is positive. Stops when the Frank-Wolfe gap
+    max_j (grad . z - grad_j), an upper bound on the distance to the optimal
+    objective, falls to rounding level; at most 3 g outer steps.
+    """
+    root_w = np.sqrt(weights)
+    a = rows * root_w[:, None]
+    b = root_w * target
+    k, g = a.shape
+    gap_tol = 10.0 * max(k, g) * np.finfo(float).eps
+    start = int(np.argmin(np.einsum("ij,ij->j", a, a) - 2.0 * (b @ a)))
+    support = np.array([start])
+    z = np.zeros(g)
+    z[start] = 1.0
+    resid = a[:, start] - b
+    f = float(resid @ resid)
+    best, f_best = z.copy(), f
+    trace = [f] if keep_trace else None
+    converged = False
+    for outer in range(1, 3 * g + 1):
+        grad = 2.0 * (a.T @ resid)
+        level = grad[support] @ z[support]
+        grad[support] = np.inf
+        enter = int(np.argmin(grad))
+        if level - grad[enter] <= gap_tol:
+            converged = True
+            outer -= 1
+            break
+        support = np.append(support, enter)
+        while True:
+            s = _simplex_lsq_on(a, b, support)
+            if s.min() > 0.0:
+                break
+            current = z[support]
+            ratios = np.full(s.size, np.inf)
+            neg = s <= 0.0
+            ratios[neg] = current[neg] / (current[neg] - s[neg])
+            block = int(np.argmin(ratios))
+            current += ratios[block] * (s - current)
+            current[block] = 0.0
+            z[support] = np.maximum(current, 0.0)
+            support = support[current > 0.0]
+        z[support] = s
+        resid = a[:, support] @ s - b
+        f = float(resid @ resid)
+        if f < f_best:
+            best, f_best = z.copy(), f
+        if keep_trace:
+            trace.append(f_best)
+    trace_arr = np.asarray(trace) if keep_trace else None
+    return QPSolution(weights=best, objective=f_best, iterations=outer, converged=converged, trace=trace_arr)
+
+
+def fit_simplex(basis, weights, target, z0, tolerance, max_iters, step_bound=None, keep_trace=False):
+    """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map.
+
+    The only code that picks a method. Below EXACT_MAX_ENTRIES entries
+    (k times the grid size) the fit is solved exactly by an active set from
+    the dense table; z0, tolerance, max_iters and step_bound steer only the
+    first-order method, which runs at or above that size from z0 with step
+    1 / step_bound (a power-iteration bound when none is given).
+    """
+    if basis.k * basis.size < EXACT_MAX_ENTRIES:
+        return _exact_simplex_fit(basis.dense(), weights, target, keep_trace)
+    if step_bound is None:
+        step_bound = power_step_bound(basis, weights)
+    z, _, f, iters, converged, trace = _accelerated_simplex_minimize(
+        basis,
+        _weighted_lsq_objective(weights, target),
+        z0,
+        1.0 / step_bound,
+        tolerance,
+        max_iters,
+        keep_trace=keep_trace,
+    )
+    return QPSolution(weights=z, objective=f, iterations=iters, converged=converged, trace=trace)
 
 
 def _weighted_lsq_objective(weights, target):
@@ -380,56 +412,20 @@ def solve_weighted_qp(moments, cfg, basis=None, step_bound=None):
     if basis is None:
         basis = _make_basis(cfg.grid, cfg.k)
     j = np.arange(1, cfg.k + 1)
-    weights = 1.0 / (j * j)
-    if step_bound is None:
-        step_bound = power_step_bound(basis, weights)
     if cfg.init == INIT_DAMPED:
         z0 = damped_series_init(cfg.grid, m_plain)
     else:
         z0 = np.full(basis.size, 1.0 / basis.size)
-    objective = _weighted_lsq_objective(weights, m_plain.values)
-    step = 1.0 / step_bound
-
-    def attempt_polish(z, f, trace, converged):
-        # a near-zero stall is the fingerprint of a consistent system; the
-        # exact active-set solve finishes what the first-order tail cannot
-        if f > _POLISH_OBJECTIVE_GATE:
-            return z, f, trace, converged
-        polished = _active_set_polish(basis, weights, m_plain.values, z)
-        if polished is not None:
-            f_polished, _ = objective(basis.apply(polished))
-            if f_polished < f:
-                z, f = polished, f_polished
-                if trace is not None:
-                    trace = np.append(trace, f)
-                if f <= 1e-20:
-                    converged = True
-        return z, f, trace, converged
-
-    def finisher(z, f):
-        # terminal only: a consistent system closed at machine precision
-        if f > _POLISH_OBJECTIVE_GATE:
-            return None
-        polished = _active_set_polish(basis, weights, m_plain.values, z)
-        if polished is None:
-            return None
-        f_polished, _ = objective(basis.apply(polished))
-        if f_polished < f and f_polished <= 1e-20:
-            return polished, f_polished
-        return None
-
-    z, _, f, iters, converged, trace = _accelerated_simplex_minimize(
+    return fit_simplex(
         basis,
-        objective,
+        1.0 / (j * j),
+        m_plain.values,
         z0,
-        step,
         cfg.tolerance,
         cfg.max_iters,
+        step_bound=step_bound,
         keep_trace=cfg.keep_trace,
-        finisher=finisher,
     )
-    z, f, trace, converged = attempt_polish(z, f, trace, converged)
-    return QPSolution(weights=z, objective=f, iterations=iters, converged=converged, trace=trace)
 
 
 def recover_distribution(moments, k=None, cfg=None):
@@ -496,13 +492,14 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None, step_bound=No
 
     max_violation = violation(z_img)
     if 0.0 < max_violation <= 1e-3:
-        # near-consistent boxes behave like an equality system; the exact
-        # active-set solve toward the box centers usually lands inside
-        polished = _active_set_polish(basis, np.ones(k), m_plain.values, z)
-        if polished is not None:
-            pol_violation = violation(basis.apply(polished))
-            if pol_violation < max_violation:
-                z, max_violation = polished, pol_violation
+        # near-consistent boxes behave like an equality system; the fit
+        # toward the box centers usually lands inside
+        centered = fit_simplex(
+            basis, np.ones(k), m_plain.values, z, cfg.tolerance, cfg.max_iters, step_bound
+        ).weights
+        centered_violation = violation(basis.apply(centered))
+        if centered_violation < max_violation:
+            z, max_violation = centered, centered_violation
     feasible = max_violation <= 1e-9
     return LPSolution(
         weights=z,
@@ -517,8 +514,3 @@ def _distribution_from_weights(grid, weights):
     total = weights.sum()
     dist = DiscreteDistribution(grid.points, weights / total)
     return dist.pruned(PRUNE_THRESHOLD)
-
-
-def distribution_from_grid_weights(grid, weights):
-    """Public wrapper: normalized, pruned distribution on the grid points."""
-    return _distribution_from_weights(grid, np.asarray(weights, dtype=float))

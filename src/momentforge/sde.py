@@ -13,7 +13,6 @@ independent oracle for tests.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,27 +29,23 @@ from .recovery import RecoveryConfig, lp_grid_size, solve_moment_lp
 class LinearOperator:
     """A symmetric matrix seen only through matrix-vector products.
 
-    Carries the dimension, a monotone product counter and a flag saying
-    whether concurrent apply calls are safe. Linearity and symmetry are the
-    caller's promise; tests spot-check both on random probes.
+    Carries the dimension and a monotone product counter. Linearity and
+    symmetry are the caller's promise; tests spot-check both on random probes.
     """
 
-    def __init__(self, n, matvec, concurrent_safe=False):
+    def __init__(self, n, matvec):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = int(n)
         self._matvec = matvec
-        self.concurrent_safe = bool(concurrent_safe)
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def matvec_count(self):
         return self._count
 
     def _charge(self, amount):
-        with self._lock:
-            self._count += amount
+        self._count += amount
 
     def apply(self, vector):
         v = np.asarray(vector, dtype=float)
@@ -74,7 +69,7 @@ class LinearOperator:
 
         class _Scaled(LinearOperator):
             def __init__(self):
-                super().__init__(parent.n, None, parent.concurrent_safe)
+                super().__init__(parent.n, None)
 
             def apply(self, vector):
                 return factor * parent.apply(vector)
@@ -92,14 +87,14 @@ class LinearOperator:
         return _Scaled()
 
     @classmethod
-    def from_dense(cls, matrix, concurrent_safe=True):
+    def from_dense(cls, matrix):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense operator needs a square matrix")
-        return cls(a.shape[0], lambda v: a @ v, concurrent_safe)
+        return cls(a.shape[0], lambda v: a @ v)
 
     @classmethod
-    def from_diagonal(cls, diag, concurrent_safe=True):
+    def from_diagonal(cls, diag):
         d = np.asarray(diag, dtype=float)
 
         def matvec(v):
@@ -107,7 +102,7 @@ class LinearOperator:
                 return d[:, None] * v
             return d * v
 
-        return cls(d.size, matvec, concurrent_safe)
+        return cls(d.size, matvec)
 
 
 @dataclass(frozen=True)

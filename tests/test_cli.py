@@ -141,6 +141,22 @@ class TestRecoverCommand:
         assert payload["manifest"]["subcommand"] == "recover"
         assert str(moments_file) in payload["manifest"]["inputs"]
 
+    def test_exact_moments_converge(self, tmp_path):
+        # the first 5-atom draw of this seed at k = 16 used to end at the
+        # first-order solver's iteration cap, exit 4
+        rng = np.random.default_rng(240812385)
+        p = DiscreteDistribution(rng.uniform(-1, 1, 5), rng.dirichlet(np.ones(5)))
+        moments_path = tmp_path / "m.csv"
+        save_moments_csv(cheb_moments(p, 16), moments_path)
+        out = tmp_path / "q.csv"
+        report = tmp_path / "r.json"
+        code = main([
+            "recover", "--moments", str(moments_path), "--out", str(out),
+            "--report", str(report),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(report.read_text())["converged"] is True
+
     def test_mismatched_degree_is_validation(self, tmp_path, moments_file):
         out = tmp_path / "q.csv"
         code = main(["recover", "--moments", str(moments_file), "--k", "5", "--out", str(out)])

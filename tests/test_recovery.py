@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import (
     DiscreteDistribution,
     Grid,
@@ -16,10 +17,10 @@ from momentforge.distributions import (
 )
 from momentforge.recovery import (
     RecoveryConfig,
+    DenseBasis,
     _DctBasis,
-    _DenseBasis,
     default_grid_size,
-    dense_moment_rows,
+    fit_simplex,
     lp_grid_size,
     recover_distribution,
     simplex_project,
@@ -44,6 +45,29 @@ def brute_force_simplex_projection(v):
             if dist < best_dist:
                 best_dist = dist
                 best = np.maximum(z, 0.0)
+    return best
+
+
+def brute_force_simplex_fit(rows, weights, target):
+    """Best objective over every support pattern: each pattern's
+    equality-constrained KKT system, kept when its solution is feasible."""
+    g = rows.shape[1]
+    best = np.inf
+    for size in range(1, g + 1):
+        for subset in itertools.combinations(range(g), size):
+            sel = rows[:, list(subset)]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * sel.T @ (weights[:, None] * sel)
+            kkt[:size, size] = 1.0
+            kkt[size, :size] = 1.0
+            rhs = np.append(2.0 * sel.T @ (weights * target), 1.0)
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if sol.min() < -1e-12:
+                continue
+            z = np.zeros(g)
+            z[list(subset)] = np.maximum(sol, 0.0)
+            resid = rows @ (z / z.sum()) - target
+            best = min(best, float(weights @ (resid * resid)))
     return best
 
 
@@ -83,13 +107,31 @@ class TestBases:
     @pytest.mark.parametrize("g,k", [(64, 12), (129, 40), (200, 199)])
     def test_dct_matches_dense(self, g, k):
         grid = Grid.chebyshev(g)
-        dense = _DenseBasis(dense_moment_rows(grid, k))
+        dense = DenseBasis(cheb_t_table(k, grid.points)[1:])
         fast = _DctBasis(g, k)
         rng = np.random.default_rng(3)
         z = rng.dirichlet(np.ones(g))
         v = rng.normal(size=k)
         assert fast.apply(z) == pytest.approx(dense.apply(z), abs=1e-10)
         assert fast.apply_adjoint(v) == pytest.approx(dense.apply_adjoint(v), abs=1e-10)
+
+
+class TestExactFit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.booleans())
+    def test_matches_support_enumeration(self, seed, k, g, consistent):
+        rng = np.random.default_rng(seed)
+        rows = cheb_t_table(k, np.sort(rng.uniform(-1, 1, g)))[1:]
+        weights = rng.uniform(0.1, 1.0, k)
+        if consistent:
+            target = rows @ rng.dirichlet(np.ones(g))
+        else:
+            target = rng.normal(0, 1.5, k)
+        solution = fit_simplex(DenseBasis(rows), weights, target, np.full(g, 1.0 / g), 1e-10, 100)
+        assert solution.converged
+        assert abs(solution.objective - brute_force_simplex_fit(rows, weights, target)) <= 1e-12
+        assert solution.weights.min() >= 0
+        assert abs(solution.weights.sum() - 1.0) <= 1e-12
 
 
 class TestWeightedQp:
