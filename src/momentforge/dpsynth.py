@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -399,8 +400,8 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     norms_sq = np.array([sum(v * v for v in K) for K in indices], dtype=float)
     weights = 1.0 / norms_sq
     basis = DenseBasis(rows)
-    z0 = np.full(basis.size, 1.0 / basis.size)
-    solution = fit_simplex(basis, weights, noisy.values, z0, 1e-9, 20000)
+    uniform = partial(np.full, basis.size, 1.0 / basis.size)
+    solution = fit_simplex(basis, weights, noisy.values, uniform, 1e-9, 20000)
     z, f = solution.weights, solution.objective
     dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
     # same noise-floor convergence notion as the 1-D pipeline: the expected

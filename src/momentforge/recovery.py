@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -271,54 +272,85 @@ def _accelerated_simplex_minimize(
     return best, best_img, f_best, iterations, converged, trace_arr
 
 
-def _simplex_lsq_on(a, b, support):
-    """argmin ||a_S s - b|| subject to sum s = 1, on the columns in `support`.
+def _add_column(q, w, col):
+    """Extend E_S W = Q (Q orthonormal) by one column of E in O(rows * s),
+    or None when the column lies in the span of Q to rounding."""
+    r = q.T @ col
+    rest = col - q @ r
+    again = q.T @ rest  # reorthogonalize once
+    rest -= q @ again
+    rho = np.linalg.norm(rest)
+    if rho <= 1e-12 * np.linalg.norm(col):
+        return None
+    grown = np.pad(w, ((0, 1), (0, 1)))
+    grown[:-1, -1] = -(w @ (r + again)) / rho
+    grown[-1, -1] = 1.0 / rho
+    return np.column_stack([q, rest / rho]), grown
 
-    The constraint is eliminated through the first column of the support
-    (s_0 = 1 - sum of the rest), leaving an unconstrained least squares.
-    """
-    ref = a[:, support[0]]
-    rest, *_ = np.linalg.lstsq(a[:, support[1:]] - ref[:, None], b - ref, rcond=None)
-    return np.concatenate([[1.0 - rest.sum()], rest])
+
+def _drop_column(q, w, j):
+    """Remove support position j from E_S W = Q: a Householder reflection
+    turns row j of W into a multiple of the last unit vector, after which
+    the last columns of Q and W carry the dropped column alone."""
+    h = w[j] / np.linalg.norm(w[j])
+    h[-1] += 1.0 if h[-1] >= 0.0 else -1.0
+    scale = 2.0 / (h @ h)
+    q = q[:, :-1] - np.outer(scale * (q @ h), h[:-1])
+    w = np.delete(w, j, axis=0)
+    w = w[:, :-1] - np.outer(scale * (w @ h), h[:-1])
+    return q, w
 
 
 def _exact_simplex_fit(rows, weights, target, keep_trace=False):
     """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, by a Lawson-Hanson
-    active set (Lawson & Hanson, Solving Least Squares Problems, 1974).
+    active set (Lawson & Hanson, Solving Least Squares Problems, 1974) in
+    Wolfe's minimum-norm-point form (Math. Programming 11, 1976).
 
-    Starts at the best vertex. Each outer step adds the outside coordinate
-    with the smallest gradient, then solves the equality-constrained fit on the
-    support, stepping back to the boundary and dropping the coordinates
-    that leave it until the fit is positive. Stops when the Frank-Wolfe gap
-    max_j (grad . z - grad_j), an upper bound on the distance to the optimal
-    objective, falls to rounding level; at most 3 g outer steps.
+    On the simplex the objective is ||D z||^2, d_i = sqrt(w) * (b_i - m).
+    From the best vertex, each outer step adds the outside coordinate with
+    the smallest gradient and takes the least-norm point of the affine hull
+    of the support's columns, stepping back to the boundary and dropping
+    the coordinates that leave it until that point is positive. The
+    support's columns E_S, each lifted by a leading 1, are kept as
+    E_S W = Q with Q orthonormal: the affine point is proportional to
+    W W^T 1, and adding or dropping a column costs O(k s). Stops when the
+    Frank-Wolfe gap max_j (grad . z - grad_j), which bounds the distance to
+    the optimal objective, falls to rounding level; at most 3 g outer steps.
     """
-    root_w = np.sqrt(weights)
-    a = rows * root_w[:, None]
-    b = root_w * target
-    k, g = a.shape
+    k, g = rows.shape
+    lifted = np.empty((k + 1, g))
+    lifted[0] = 1.0
+    np.multiply(rows - target[:, None], np.sqrt(weights)[:, None], out=lifted[1:])
+    d = lifted[1:]
     gap_tol = 10.0 * max(k, g) * np.finfo(float).eps
-    start = int(np.argmin(np.einsum("ij,ij->j", a, a) - 2.0 * (b @ a)))
+    start = int(np.argmin(np.einsum("ij,ij->j", d, d)))
     support = np.array([start])
+    norm = np.linalg.norm(lifted[:, start])
+    q, w = (lifted[:, start] / norm)[:, None], np.array([[1.0 / norm]])
     z = np.zeros(g)
     z[start] = 1.0
-    resid = a[:, start] - b
+    resid = d[:, start]
     f = float(resid @ resid)
     best, f_best = z.copy(), f
     trace = [f] if keep_trace else None
     converged = False
     for outer in range(1, 3 * g + 1):
-        grad = 2.0 * (a.T @ resid)
+        grad = 2.0 * (d.T @ resid)
         level = grad[support] @ z[support]
         grad[support] = np.inf
         enter = int(np.argmin(grad))
-        if level - grad[enter] <= gap_tol:
+        grown = _add_column(q, w, lifted[:, enter])
+        # a column already in the support's affine hull means the gap is
+        # rounding in the support's fit
+        if level - grad[enter] <= gap_tol or grown is None:
             converged = True
             outer -= 1
             break
+        q, w = grown
         support = np.append(support, enter)
         while True:
-            s = _simplex_lsq_on(a, b, support)
+            s = w @ w.sum(axis=0)
+            s /= s.sum()
             if s.min() > 0.0:
                 break
             current = z[support]
@@ -329,9 +361,11 @@ def _exact_simplex_fit(rows, weights, target, keep_trace=False):
             current += ratios[block] * (s - current)
             current[block] = 0.0
             z[support] = np.maximum(current, 0.0)
+            for j in np.flatnonzero(current <= 0.0)[::-1]:
+                q, w = _drop_column(q, w, j)
             support = support[current > 0.0]
         z[support] = s
-        resid = a[:, support] @ s - b
+        resid = d[:, support] @ s
         f = float(resid @ resid)
         if f < f_best:
             best, f_best = z.copy(), f
@@ -341,14 +375,15 @@ def _exact_simplex_fit(rows, weights, target, keep_trace=False):
     return QPSolution(weights=best, objective=f_best, iterations=outer, converged=converged, trace=trace_arr)
 
 
-def fit_simplex(basis, weights, target, z0, tolerance, max_iters, step_bound=None, keep_trace=False):
+def fit_simplex(basis, weights, target, start, tolerance, max_iters, step_bound=None, keep_trace=False):
     """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map.
 
     The only code that picks a method. Below EXACT_MAX_ENTRIES entries
     (k times the grid size) the fit is solved exactly by an active set from
-    the dense table; z0, tolerance, max_iters and step_bound steer only the
-    first-order method, which runs at or above that size from z0 with step
-    1 / step_bound (a power-iteration bound when none is given).
+    the dense table. At or above that size accelerated projected gradient
+    runs from `start()`, a callable that builds the warm start, with step
+    1 / step_bound (a power-iteration bound when none is given); start,
+    tolerance, max_iters and step_bound steer only that method.
     """
     if basis.k * basis.size < EXACT_MAX_ENTRIES:
         return _exact_simplex_fit(basis.dense(), weights, target, keep_trace)
@@ -357,7 +392,7 @@ def fit_simplex(basis, weights, target, z0, tolerance, max_iters, step_bound=Non
     z, _, f, iters, converged, trace = _accelerated_simplex_minimize(
         basis,
         _weighted_lsq_objective(weights, target),
-        z0,
+        start(),
         1.0 / step_bound,
         tolerance,
         max_iters,
@@ -413,14 +448,14 @@ def solve_weighted_qp(moments, cfg, basis=None, step_bound=None):
         basis = _make_basis(cfg.grid, cfg.k)
     j = np.arange(1, cfg.k + 1)
     if cfg.init == INIT_DAMPED:
-        z0 = damped_series_init(cfg.grid, m_plain)
+        start = partial(damped_series_init, cfg.grid, m_plain)
     else:
-        z0 = np.full(basis.size, 1.0 / basis.size)
+        start = partial(np.full, basis.size, 1.0 / basis.size)
     return fit_simplex(
         basis,
         1.0 / (j * j),
         m_plain.values,
-        z0,
+        start,
         cfg.tolerance,
         cfg.max_iters,
         step_bound=step_bound,
@@ -491,12 +526,11 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None, step_bound=No
         return float(np.max(np.maximum(np.abs(image - m_plain.values) - tols, 0.0)))
 
     max_violation = violation(z_img)
-    if 0.0 < max_violation <= 1e-3:
-        # near-consistent boxes behave like an equality system; the fit
-        # toward the box centers usually lands inside
-        centered = fit_simplex(
-            basis, np.ones(k), m_plain.values, z, cfg.tolerance, cfg.max_iters, step_bound
-        ).weights
+    if 0.0 < max_violation <= 1e-3 and k * basis.size < EXACT_MAX_ENTRIES:
+        # near-consistent boxes behave like an equality system; the exact
+        # fit toward the box centers usually lands inside (above the exact
+        # size, a second first-order solve would cost as much as the first)
+        centered = _exact_simplex_fit(basis.dense(), np.ones(k), m_plain.values).weights
         centered_violation = violation(basis.apply(centered))
         if centered_violation < max_violation:
             z, max_violation = centered, centered_violation

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm as scipy_norm
 
+from momentforge import dpsynth
 from momentforge._normal import seeded_standard_normals
 from momentforge.distributions import (
     DiscreteDistribution,
@@ -26,6 +27,7 @@ from momentforge.dpsynth import (
     sensitivity_sq_bound,
     synthesize_from_noisy_moments,
 )
+from momentforge.recovery import EXACT_MAX_ENTRIES
 
 
 def scaled_moment_release(data, k):
@@ -201,14 +203,27 @@ class TestPipeline1D:
         with pytest.raises(ValueError):
             dp_synthesize(np.array([0.1, 0.2]), budget, seed=0)
 
-    def test_noise_floor_counts_as_converged(self):
-        # FISTA keeps inching below the statistical floor forever, so the
-        # pipeline treats a residual at the expected noise energy as done
+    def test_noise_floor_counts_as_converged(self, monkeypatch):
+        # the first-order fit keeps inching below the statistical floor
+        # until its iteration cap, so the pipeline treats a residual at the
+        # expected noise energy as done; eps n = 1000 gives a k x r table of
+        # 2000 x 2001 entries, just above the exact solve's size limit
+        solutions = []
+        fit = dpsynth.synthesize_from_noisy_moments
+
+        def recording(*args, **kwargs):
+            dist, solution = fit(*args, **kwargs)
+            solutions.append(solution)
+            return dist, solution
+
+        monkeypatch.setattr(dpsynth, "synthesize_from_noisy_moments", recording)
         budget = PrivacyBudget(epsilon=0.5, delta=1e-4)
-        data = np.random.default_rng(6).uniform(-1, 1, 300)
+        data = np.random.default_rng(6).uniform(-1, 1, 2000)
         result = dp_synthesize(data, budget, seed=5)
         k = result.report.k
+        assert k * result.report.r >= EXACT_MAX_ENTRIES
         floor = (math.pi / 2) * result.report.sigma2 * np.sum(1.0 / np.arange(1, k + 1))
+        assert not solutions[0].converged
         assert result.report.objective <= floor
         assert result.report.converged
 

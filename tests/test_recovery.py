@@ -127,7 +127,7 @@ class TestExactFit:
             target = rows @ rng.dirichlet(np.ones(g))
         else:
             target = rng.normal(0, 1.5, k)
-        solution = fit_simplex(DenseBasis(rows), weights, target, np.full(g, 1.0 / g), 1e-10, 100)
+        solution = fit_simplex(DenseBasis(rows), weights, target, None, 1e-10, 100)
         assert solution.converged
         assert abs(solution.objective - brute_force_simplex_fit(rows, weights, target)) <= 1e-12
         assert solution.weights.min() >= 0
