@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -31,15 +30,12 @@ from .distributions import (
     multi_moment_normalizer,
     round_to_grid,
 )
-from .recovery import (
-    EXACT_MAX_ENTRIES,
-    INIT_DAMPED,
-    DenseBasis,
-    RecoveryConfig,
-    fit_simplex,
-    power_step_bound,
-    solve_weighted_qp,
-)
+from .recovery import DenseBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
+
+# 1-D moment tables of k times the grid size at least this many entries are
+# stored folded by parity in single precision, which the fit uses only to
+# price coordinates; smaller ones are stored dense in double precision
+FOLDED_FLOAT32_MIN_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -198,24 +194,20 @@ def _clamp_data(data):
 _qp_cache: dict = {}
 
 
-def _cached_qp_pieces(grid, k):
+def _cached_basis(grid, k):
     key = (grid.kind, grid.size, k)
     hit = _qp_cache.get(key)
     if hit is not None:
-        basis, bound, pts = hit
+        basis, pts = hit
         if np.array_equal(pts, grid.points):
-            return basis, bound
-    if grid.size * k >= EXACT_MAX_ENTRIES:
-        # only the first-order solver runs at this size, so it alone needs
-        # the folded table and the step bound
+            return basis
+    if grid.size * k >= FOLDED_FLOAT32_MIN_ENTRIES:
         basis = _FoldedUniformBasis(grid.points, k)
-        j = np.arange(1, k + 1)
-        bound = power_step_bound(basis, 1.0 / (j * j))
     else:
-        basis, bound = DenseBasis(cheb_t_table(k, grid.points)[1:]), None
+        basis = DenseBasis(cheb_t_table(k, grid.points)[1:])
     _qp_cache.clear()  # keep at most one (large) cached basis
-    _qp_cache[key] = (basis, bound, grid.points)
-    return basis, bound
+    _qp_cache[key] = (basis, grid.points)
+    return basis
 
 
 class _FoldedUniformBasis:
@@ -223,8 +215,9 @@ class _FoldedUniformBasis:
 
     T_j(-x) = (-1)^j T_j(x), so even-degree rows act on z_i + z_{-i} and
     odd-degree rows on z_i - z_{-i}; both half-size tables together hold
-    half the entries of the dense table. Stored in single precision: it is
-    only built at EXACT_MAX_ENTRIES entries or more.
+    half the entries of the dense table. Stored in single precision, so
+    `apply` and `apply_adjoint` carry ~1e-7 relative error; `column` is
+    float64, which is what the fit's gap test and factor use.
     """
 
     def __init__(self, points, k):
@@ -265,32 +258,30 @@ class _FoldedUniformBasis:
         out[self.mid - 1 :: -1] = even_half[1:] - odd_half
         return out
 
+    def column(self, i):
+        return np.cos(np.arange(1, self.k + 1) * np.arccos(self.points[i]))
 
-def synthesize_from_noisy_moments(noisy, grid, solver_cfg=None):
+
+def synthesize_from_noisy_moments(noisy, grid):
     """Post-processing half of the pipeline: fit the grid distribution to the
     released noisy moments. Pure in (noisy moments, public parameters)."""
     k = noisy.k
     plain = MomentVector(noisy.values, NORMALIZED).to_plain()
-    if solver_cfg is None:
-        # the fit stops changing (in transport distance) after a few hundred
-        # steps; the cap scales down for the very large grids
-        cap = int(max(320, min(900, 2.4e6 / grid.size)))
-        solver_cfg = RecoveryConfig(
-            k=k, grid=grid, tolerance=3e-7, max_iters=cap, init=INIT_DAMPED
-        )
-    basis, bound = _cached_qp_pieces(grid, k)
-    solution = solve_weighted_qp(plain, solver_cfg, basis=basis, step_bound=bound)
+    cfg = RecoveryConfig(k=k, grid=grid)
+    solution = solve_weighted_qp(plain, cfg, basis=_cached_basis(grid, k))
     weights = solution.weights / solution.weights.sum()
     dist = DiscreteDistribution(grid.points, weights).pruned()
     return dist, solution
 
 
-def dp_synthesize(data, budget, seed, sigma2_override=None, solver_cfg=None):
+def dp_synthesize(data, budget, seed, sigma2_override=None):
     """The 1-D private synthesis pipeline.
 
     Grid spacing 1/ceil(eps n), k = ceil(2 eps n) noisy normalized moments
-    with variances j sigma^2, then weighted moment regression over the same
-    grid. `sigma2_override` exists for tests that need the noiseless path.
+    with variances j sigma^2, then the exact 1/j^2-weighted moment
+    regression over the same grid (`recovery.fit_simplex`); the report's
+    `converged` is the fit's own certificate. `sigma2_override` exists for
+    tests that need the noiseless path.
     """
     values, clamped = _clamp_data(data)
     if values.ndim != 1:
@@ -309,18 +300,12 @@ def dp_synthesize(data, budget, seed, sigma2_override=None, solver_cfg=None):
     idx = grid_round_indices(values, grid)
     counts = np.bincount(idx, minlength=grid.size)
     rounded_weights = counts / n
-    basis, bound = _cached_qp_pieces(grid, k)
-    exact_plain = basis.apply(rounded_weights)
+    exact_plain = _cached_basis(grid, k).apply(rounded_weights)
     exact_norm = exact_plain * math.sqrt(2.0 / math.pi)
     noise, variances = gaussian_noise_vector(k, sigma2, seed)
     noisy = NoisyMoments(values=exact_norm + noise, variances=variances, seed=seed)
 
-    dist, solution = synthesize_from_noisy_moments(noisy, grid, solver_cfg)
-    # a noisy objective keeps creeping below its statistical floor forever,
-    # so the iteration-stall flag alone understates convergence: the fit is
-    # done once the residual sits at the expected noise energy
-    noise_floor = (math.pi / 2.0) * sigma2 * float(np.sum(1.0 / np.arange(1, k + 1)))
-    converged = solution.converged or solution.objective <= noise_floor
+    dist, solution = synthesize_from_noisy_moments(noisy, grid)
     report = DpSynthesisReport(
         n=n,
         k=k,
@@ -332,7 +317,7 @@ def dp_synthesize(data, budget, seed, sigma2_override=None, solver_cfg=None):
         clamped=clamped,
         objective=solution.objective,
         iterations=solution.iterations,
-        converged=converged,
+        converged=solution.converged,
         rounding_bound=1.0 / (2.0 * half_steps),
     )
     return DpSynthesisResult(distribution=dist, noisy_moments=noisy, report=report)
@@ -356,11 +341,10 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
 
     Per-coordinate spacing 1/ceil((eps n)^{1/d}), degrees up to
     m = ceil(2 (eps n)^{1/d}), per-index noise variance ||K||_2 sigma^2 with
-    sigma^2 built from the exact norm sum, and a 1/||K||_2^2-weighted fit of
-    the normalized tensor moments over the tensor grid through
-    `fit_simplex`: exact below EXACT_MAX_ENTRIES table entries, else
-    accelerated projected gradient (relative stall tolerance 1e-9, at most
-    20000 iterations).
+    sigma^2 built from the exact norm sum, and the exact
+    1/||K||_2^2-weighted fit of the normalized tensor moments over the
+    tensor grid (`recovery.fit_simplex` on a float64 table); the report's
+    `converged` is the fit's own certificate.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
@@ -399,14 +383,9 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
 
     norms_sq = np.array([sum(v * v for v in K) for K in indices], dtype=float)
     weights = 1.0 / norms_sq
-    basis = DenseBasis(rows)
-    uniform = partial(np.full, basis.size, 1.0 / basis.size)
-    solution = fit_simplex(basis, weights, noisy.values, uniform, 1e-9, 20000)
+    solution = fit_simplex(DenseBasis(rows), weights, noisy.values)
     z, f = solution.weights, solution.objective
     dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
-    # same noise-floor convergence notion as the 1-D pipeline: the expected
-    # residual energy of the release is sigma^2 * sum 1/||K||
-    converged = solution.converged or f <= sigma2 * s
     report = DpSynthesisReport(
         n=n,
         k=len(indices),
@@ -418,7 +397,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
         clamped=clamped,
         objective=f,
         iterations=solution.iterations,
-        converged=converged,
+        converged=solution.converged,
         d=d,
         norm_sum=s,
         rounding_bound=d / (2.0 * half_steps),

@@ -2,12 +2,12 @@
 
 A weighted least-squares fit over the probability simplex on a grid, the
 feasibility variant with per-moment tolerance boxes, and the simplex
-projection they share. `fit_simplex` is the one place that picks a method:
-below EXACT_MAX_ENTRIES moment-table entries (k times the grid size) it
-solves the fit exactly with a Lawson-Hanson active set; at or above it, it
-runs accelerated projected gradient with gradient restarts and best-iterate
-tracking. On Chebyshev-node grids the moment map is applied through a DCT,
-so large grids never materialize a dense basis.
+projection they share. `fit_simplex` solves the fit exactly at every size
+with a Lawson-Hanson active set that touches the moment map only through
+its adjoint and single columns, so it never needs a dense table. The
+feasibility fit runs accelerated projected gradient. On Chebyshev-node
+grids the moment map is applied through a DCT, so large grids never
+materialize a dense basis.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.fft
 
-from .chebyshev import cheb_t_table, chebyshev_nodes, jackson_damping
+from .chebyshev import cheb_t_table, chebyshev_nodes
 from .distributions import (
     CHEBYSHEV_NODES,
     PLAIN,
@@ -31,13 +30,6 @@ from .distributions import (
 )
 
 PRUNE_THRESHOLD = 1e-15
-
-# k times the grid size below which fits are solved exactly; at or above it
-# the first-order method runs and dense moment tables are stored in float32
-EXACT_MAX_ENTRIES = 4_000_000
-
-INIT_UNIFORM = "uniform"
-INIT_DAMPED = "damped_series"
 
 
 def default_grid_size(k):
@@ -52,14 +44,18 @@ def lp_grid_size(k):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Solver parameters; grid and iteration cap default from k."""
+    """Fit parameters; grid and iteration cap default from k.
+
+    `tolerance` and `max_iters` steer only the feasibility fit
+    (`solve_moment_lp`); the least-squares fit is exact and has its own
+    stopping rule.
+    """
 
     k: int
     g: int = None
     grid: Grid = None
     tolerance: float = 1e-10
     max_iters: int = None
-    init: str = INIT_UNIFORM
     keep_trace: bool = False
 
     def __post_init__(self):
@@ -128,28 +124,22 @@ def simplex_project(v):
 class DenseBasis:
     """Moment map z -> (sum_i z_i T_j(x_i))_{j=1..k} as an explicit matrix.
 
-    Tables of EXACT_MAX_ENTRIES entries or more only ever meet the
-    first-order solver, so they are stored in single precision: the
-    matrix-vector bandwidth halves, and the ~1e-7 relative error sits far
-    below the noise floors of the problems big enough to trigger it.
+    A basis is anything with `k`, `size`, `apply`, `apply_adjoint` and
+    `column(i)`, the float64 moments of grid point i.
     """
 
     def __init__(self, rows):
-        if rows.size >= EXACT_MAX_ENTRIES:
-            rows = rows.astype(np.float32)
         self.rows = rows
         self.k, self.size = rows.shape
 
     def apply(self, z):
-        out = self.rows @ z.astype(self.rows.dtype, copy=False)
-        return out.astype(np.float64, copy=False)
+        return self.rows @ z
 
     def apply_adjoint(self, v):
-        out = self.rows.T @ v.astype(self.rows.dtype, copy=False)
-        return out.astype(np.float64, copy=False)
+        return self.rows.T @ v
 
-    def dense(self):
-        return self.rows
+    def column(self, i):
+        return self.rows[:, i]
 
 
 class _DctBasis:
@@ -174,8 +164,8 @@ class _DctBasis:
         full[1 : self.k + 1] = v
         return scipy.fft.dct(full, type=3) / 2.0
 
-    def dense(self):
-        return cheb_t_table(self.k, self.nodes)[1:]
+    def column(self, i):
+        return np.cos(np.arange(1, self.k + 1) * np.arccos(self.nodes[i]))
 
 
 def _make_basis(grid, k):
@@ -301,112 +291,96 @@ def _drop_column(q, w, j):
     return q, w
 
 
-def _exact_simplex_fit(rows, weights, target, keep_trace=False):
-    """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, by a Lawson-Hanson
-    active set (Lawson & Hanson, Solving Least Squares Problems, 1974) in
-    Wolfe's minimum-norm-point form (Math. Programming 11, 1976).
+def fit_simplex(basis, weights, target, keep_trace=False):
+    """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map,
+    by a Lawson-Hanson active set (Lawson & Hanson, Solving Least Squares
+    Problems, 1974) in Wolfe's minimum-norm-point form (Math. Programming
+    11, 1976).
 
     On the simplex the objective is ||D z||^2, d_i = sqrt(w) * (b_i - m).
-    From the best vertex, each outer step adds the outside coordinate with
-    the smallest gradient and takes the least-norm point of the affine hull
-    of the support's columns, stepping back to the boundary and dropping
-    the coordinates that leave it until that point is positive. The
-    support's columns E_S, each lifted by a leading 1, are kept as
-    E_S W = Q with Q orthonormal: the affine point is proportional to
-    W W^T 1, and adding or dropping a column costs O(k s). Stops when the
-    Frank-Wolfe gap max_j (grad . z - grad_j), which bounds the distance to
-    the optimal objective, falls to rounding level; at most 3 g outer steps.
+    From the vertex with the largest B^T (w * m), each outer step
+    prices every coordinate with one adjoint product, grad = 2 D^T r =
+    2 (B^T u - (m . u)) with u = sqrt(w) * r, adds the outside coordinate
+    with the smallest gradient, and takes the least-norm point of the
+    affine hull of the support's columns, stepping back to the boundary and
+    dropping the coordinates that leave it until that point is positive.
+    The support's columns E_S, each lifted by a leading 1 and built from
+    `basis.column`, are kept only as E_S W = Q with Q orthonormal: the
+    affine point is proportional to W W^T 1 and its residual is
+    (Q W^T 1)[1:] / sum(W W^T 1), and adding or dropping a column costs
+    O(k s). Memory is O(k s) beside the basis.
+
+    Converged when the Frank-Wolfe gap 2 (f - d_enter . r), which bounds
+    the distance to the optimal objective, falls to rounding level (the
+    entering price is recomputed from the float64 column, so a basis may
+    price in lower precision), when the entering column already lies in
+    the span of the support's, or when a step fails to lower f, which
+    Wolfe's step does whenever the gap is positive unless f is at rounding
+    level. At most 3 g outer steps; stopping there is not converged.
     """
-    k, g = rows.shape
-    lifted = np.empty((k + 1, g))
-    lifted[0] = 1.0
-    np.multiply(rows - target[:, None], np.sqrt(weights)[:, None], out=lifted[1:])
-    d = lifted[1:]
+    k, g = basis.k, basis.size
+    root_w = np.sqrt(weights)
     gap_tol = 10.0 * max(k, g) * np.finfo(float).eps
-    start = int(np.argmin(np.einsum("ij,ij->j", d, d)))
-    support = np.array([start])
-    norm = np.linalg.norm(lifted[:, start])
-    q, w = (lifted[:, start] / norm)[:, None], np.array([[1.0 / norm]])
-    z = np.zeros(g)
-    z[start] = 1.0
-    resid = d[:, start]
+
+    def lifted(i):
+        return np.concatenate([[1.0], root_w * (basis.column(i) - target)])
+
+    start = int(np.argmax(basis.apply_adjoint(weights * target)))
+    support, x = np.array([start]), np.array([1.0])
+    col = lifted(start)
+    norm = np.linalg.norm(col)
+    q, w = (col / norm)[:, None], np.array([[1.0 / norm]])
+    resid = col[1:]
     f = float(resid @ resid)
-    best, f_best = z.copy(), f
+    best = (support, x)
     trace = [f] if keep_trace else None
     converged = False
     for outer in range(1, 3 * g + 1):
-        grad = 2.0 * (d.T @ resid)
-        level = grad[support] @ z[support]
-        grad[support] = np.inf
-        enter = int(np.argmin(grad))
-        grown = _add_column(q, w, lifted[:, enter])
-        # a column already in the support's affine hull means the gap is
-        # rounding in the support's fit
-        if level - grad[enter] <= gap_tol or grown is None:
+        u = root_w * resid
+        price = basis.apply_adjoint(u) - target @ u
+        price[support] = np.inf
+        enter = int(np.argmin(price))
+        col = lifted(enter)
+        gap = 2.0 * (f - col[1:] @ resid)
+        grown = _add_column(q, w, col) if gap > gap_tol else None
+        # a gap at rounding level, or a column already in the support's
+        # affine hull, whose gap is then rounding in the support's fit
+        if grown is None:
             converged = True
             outer -= 1
             break
         q, w = grown
-        support = np.append(support, enter)
+        support, x = np.append(support, enter), np.append(x, 0.0)
         while True:
-            s = w @ w.sum(axis=0)
-            s /= s.sum()
+            lift_sum = w.sum(axis=0)
+            s = w @ lift_sum
+            total = s.sum()
+            s /= total
             if s.min() > 0.0:
                 break
-            current = z[support]
             ratios = np.full(s.size, np.inf)
             neg = s <= 0.0
-            ratios[neg] = current[neg] / (current[neg] - s[neg])
+            ratios[neg] = x[neg] / (x[neg] - s[neg])
             block = int(np.argmin(ratios))
-            current += ratios[block] * (s - current)
-            current[block] = 0.0
-            z[support] = np.maximum(current, 0.0)
-            for j in np.flatnonzero(current <= 0.0)[::-1]:
+            x = x + ratios[block] * (s - x)
+            x[block] = 0.0
+            for j in np.flatnonzero(x <= 0.0)[::-1]:
                 q, w = _drop_column(q, w, j)
-            support = support[current > 0.0]
-        z[support] = s
-        resid = d[:, support] @ s
-        f = float(resid @ resid)
-        if f < f_best:
-            best, f_best = z.copy(), f
+            support, x = support[x > 0.0], x[x > 0.0]
+        x = s
+        resid = (q @ lift_sum)[1:] / total
+        f_step = float(resid @ resid)
+        converged = f_step >= f
+        if not converged:
+            f, best = f_step, (support, x)
         if keep_trace:
-            trace.append(f_best)
+            trace.append(f)
+        if converged:
+            break
+    z = np.zeros(g)
+    z[best[0]] = best[1]
     trace_arr = np.asarray(trace) if keep_trace else None
-    return QPSolution(weights=best, objective=f_best, iterations=outer, converged=converged, trace=trace_arr)
-
-
-def fit_simplex(basis, weights, target, start, tolerance, max_iters, step_bound=None, keep_trace=False):
-    """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map.
-
-    The only code that picks a method. Below EXACT_MAX_ENTRIES entries
-    (k times the grid size) the fit is solved exactly by an active set from
-    the dense table. At or above that size accelerated projected gradient
-    runs from `start()`, a callable that builds the warm start, with step
-    1 / step_bound (a power-iteration bound when none is given); start,
-    tolerance, max_iters and step_bound steer only that method.
-    """
-    if basis.k * basis.size < EXACT_MAX_ENTRIES:
-        return _exact_simplex_fit(basis.dense(), weights, target, keep_trace)
-    if step_bound is None:
-        step_bound = power_step_bound(basis, weights)
-    z, _, f, iters, converged, trace = _accelerated_simplex_minimize(
-        basis,
-        _weighted_lsq_objective(weights, target),
-        start(),
-        1.0 / step_bound,
-        tolerance,
-        max_iters,
-        keep_trace=keep_trace,
-    )
-    return QPSolution(weights=z, objective=f, iterations=iters, converged=converged, trace=trace)
-
-
-def _weighted_lsq_objective(weights, target):
-    def objective(image):
-        resid = image - target
-        return float(weights @ (resid * resid)), 2.0 * weights * resid
-
-    return objective
+    return QPSolution(weights=z, objective=f, iterations=outer, converged=converged, trace=trace_arr)
 
 
 def _box_violation_objective(target, tols):
@@ -419,27 +393,7 @@ def _box_violation_objective(target, tols):
     return objective
 
 
-def damped_series_init(grid, moments):
-    """Deterministic warm start: the damping-smoothed moment density on the
-    grid, clipped to be nonnegative and mixed with a uniform floor.
-    """
-    m_plain = moments.to_plain().values
-    k = m_plain.size
-    damping = jackson_damping(k).damping
-    coeffs = np.concatenate([[1.0], 2.0 * damping[1:] * m_plain])
-    table = cheb_t_table(k, grid.points)
-    series = coeffs @ table
-    interior = np.clip(grid.points, -1.0 + 1e-9, 1.0 - 1e-9)
-    arcsine = 1.0 / np.sqrt(1.0 - np.minimum(interior * interior, 1.0 - 1e-12))
-    density = np.maximum(series, 0.0) * arcsine
-    total = density.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return np.full(grid.size, 1.0 / grid.size)
-    z0 = 0.9 * density / total + 0.1 / grid.size
-    return z0 / z0.sum()
-
-
-def solve_weighted_qp(moments, cfg, basis=None, step_bound=None):
+def solve_weighted_qp(moments, cfg, basis=None):
     """Minimize sum_j (m_j - sum_i z_i T_j(x_i))^2 / j^2 over the simplex."""
     m_plain = moments.to_plain()
     if m_plain.k != cfg.k:
@@ -447,20 +401,7 @@ def solve_weighted_qp(moments, cfg, basis=None, step_bound=None):
     if basis is None:
         basis = _make_basis(cfg.grid, cfg.k)
     j = np.arange(1, cfg.k + 1)
-    if cfg.init == INIT_DAMPED:
-        start = partial(damped_series_init, cfg.grid, m_plain)
-    else:
-        start = partial(np.full, basis.size, 1.0 / basis.size)
-    return fit_simplex(
-        basis,
-        1.0 / (j * j),
-        m_plain.values,
-        start,
-        cfg.tolerance,
-        cfg.max_iters,
-        step_bound=step_bound,
-        keep_trace=cfg.keep_trace,
-    )
+    return fit_simplex(basis, 1.0 / (j * j), m_plain.values, keep_trace=cfg.keep_trace)
 
 
 def recover_distribution(moments, k=None, cfg=None):
@@ -492,7 +433,7 @@ def recover_distribution(moments, k=None, cfg=None):
     )
 
 
-def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None, step_bound=None):
+def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None):
     """Find simplex weights whose moments fall in [m_j - tol_j, m_j + tol_j].
 
     Runs the projected-gradient scheme on the summed squared box violations
@@ -508,14 +449,12 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None, step_bound=No
         cfg = RecoveryConfig(k=k, g=lp_grid_size(k))
     if basis is None:
         basis = _make_basis(cfg.grid, k)
-    if step_bound is None:
-        step_bound = power_step_bound(basis, np.ones(k))
     z0 = np.full(basis.size, 1.0 / basis.size)
     z, z_img, f, iters, converged, trace = _accelerated_simplex_minimize(
         basis,
         _box_violation_objective(m_plain.values, tols),
         z0,
-        1.0 / step_bound,
+        1.0 / power_step_bound(basis, np.ones(k)),
         cfg.tolerance,
         cfg.max_iters,
         keep_trace=cfg.keep_trace,
@@ -526,11 +465,10 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None, step_bound=No
         return float(np.max(np.maximum(np.abs(image - m_plain.values) - tols, 0.0)))
 
     max_violation = violation(z_img)
-    if 0.0 < max_violation <= 1e-3 and k * basis.size < EXACT_MAX_ENTRIES:
+    if 0.0 < max_violation <= 1e-3:
         # near-consistent boxes behave like an equality system; the exact
-        # fit toward the box centers usually lands inside (above the exact
-        # size, a second first-order solve would cost as much as the first)
-        centered = _exact_simplex_fit(basis.dense(), np.ones(k), m_plain.values).weights
+        # fit toward the box centers usually lands inside
+        centered = fit_simplex(basis, np.ones(k), m_plain.values).weights
         centered_violation = violation(basis.apply(centered))
         if centered_violation < max_violation:
             z, max_violation = centered, centered_violation

@@ -5,16 +5,19 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm as scipy_norm
 
-from momentforge import dpsynth
 from momentforge._normal import seeded_standard_normals
+from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import (
+    NORMALIZED,
     DiscreteDistribution,
     Grid,
+    MomentVector,
     cheb_moments,
     round_to_grid,
     w1_distance,
 )
 from momentforge.dpsynth import (
+    FOLDED_FLOAT32_MIN_ENTRIES,
     NoisyMoments,
     PrivacyBudget,
     dp_synthesize,
@@ -27,7 +30,6 @@ from momentforge.dpsynth import (
     sensitivity_sq_bound,
     synthesize_from_noisy_moments,
 )
-from momentforge.recovery import EXACT_MAX_ENTRIES
 
 
 def scaled_moment_release(data, k):
@@ -203,29 +205,24 @@ class TestPipeline1D:
         with pytest.raises(ValueError):
             dp_synthesize(np.array([0.1, 0.2]), budget, seed=0)
 
-    def test_noise_floor_counts_as_converged(self, monkeypatch):
-        # the first-order fit keeps inching below the statistical floor
-        # until its iteration cap, so the pipeline treats a residual at the
-        # expected noise energy as done; eps n = 1000 gives a k x r table of
-        # 2000 x 2001 entries, just above the exact solve's size limit
-        solutions = []
-        fit = dpsynth.synthesize_from_noisy_moments
-
-        def recording(*args, **kwargs):
-            dist, solution = fit(*args, **kwargs)
-            solutions.append(solution)
-            return dist, solution
-
-        monkeypatch.setattr(dpsynth, "synthesize_from_noisy_moments", recording)
+    def test_folded_fit_converges_exactly(self):
+        # eps n = 1000 gives a k x r table of 2000 x 2001 entries, stored
+        # folded in single precision; the fit must still certify the
+        # double-precision optimum on its own
         budget = PrivacyBudget(epsilon=0.5, delta=1e-4)
         data = np.random.default_rng(6).uniform(-1, 1, 2000)
         result = dp_synthesize(data, budget, seed=5)
-        k = result.report.k
-        assert k * result.report.r >= EXACT_MAX_ENTRIES
-        floor = (math.pi / 2) * result.report.sigma2 * np.sum(1.0 / np.arange(1, k + 1))
-        assert not solutions[0].converged
-        assert result.report.objective <= floor
+        k, r = result.report.k, result.report.r
+        assert k * r >= FOLDED_FLOAT32_MIN_ENTRIES
         assert result.report.converged
+        grid = Grid.uniform(math.ceil(budget.epsilon * 2000))
+        z = np.zeros(r)
+        z[np.searchsorted(grid.points, result.distribution.support)] = result.distribution.weights
+        rows = cheb_t_table(k, grid.points)[1:]
+        target = MomentVector(result.noisy_moments.values, NORMALIZED).to_plain().values
+        weights = 1.0 / np.arange(1, k + 1) ** 2
+        grad = 2.0 * rows.T @ (weights * (rows @ z - target))
+        assert grad @ z - grad.min() <= 1e-12
 
     def test_noise_schedule_empirical(self):
         # variance of the released noise matches j * sigma^2 across seeds
@@ -237,18 +234,12 @@ class TestPipeline1D:
         exact = cheb_moments(p, 20, convention="normalized").values
         draws = []
         for seed in range(4000):
-            result = dp_synthesize(data, budget, seed=seed, solver_cfg=_fast_cfg(grid, 20))
+            result = dp_synthesize(data, budget, seed=seed)
             draws.append(result.noisy_moments.values - exact)
         draws = np.asarray(draws)
         j = np.arange(1, 21)
         ratio = np.var(draws, axis=0) / (j * sigma2)
         assert np.all(np.abs(ratio - 1) < 0.2)
-
-
-def _fast_cfg(grid, k):
-    from momentforge.recovery import RecoveryConfig
-
-    return RecoveryConfig(k=k, grid=grid, tolerance=1e-3, max_iters=3)
 
 
 class TestNormSum:

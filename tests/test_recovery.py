@@ -15,6 +15,7 @@ from momentforge.distributions import (
     moment_error_gamma,
     w1_distance,
 )
+from momentforge.dpsynth import _FoldedUniformBasis
 from momentforge.recovery import (
     RecoveryConfig,
     DenseBasis,
@@ -71,6 +72,12 @@ def brute_force_simplex_fit(rows, weights, target):
     return best
 
 
+def frank_wolfe_gap(rows, weights, target, z):
+    """max_i (grad . z - grad_i) of sum_j w_j ((rows z)_j - m_j)^2 at z."""
+    grad = 2.0 * rows.T @ (weights * (rows @ z - target))
+    return float(grad @ z - grad.min())
+
+
 def random_distribution(rng, points):
     support = rng.uniform(-1, 1, points)
     weights = rng.dirichlet(np.ones(points))
@@ -115,6 +122,44 @@ class TestBases:
         assert fast.apply(z) == pytest.approx(dense.apply(z), abs=1e-10)
         assert fast.apply_adjoint(v) == pytest.approx(dense.apply_adjoint(v), abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "make,points",
+        [
+            (lambda k, x: DenseBasis(cheb_t_table(k, x)[1:]), Grid.uniform(20).points),
+            (lambda k, x: _DctBasis(x.size, k), Grid.chebyshev(200).points),
+            (lambda k, x: _FoldedUniformBasis(x, k), Grid.uniform(100).points),
+        ],
+        ids=["dense", "dct", "folded"],
+    )
+    def test_column_is_float64_table_column(self, make, points):
+        k = 40
+        basis = make(k, points)
+        table = cheb_t_table(k, points)[1:]
+        for i in range(points.size):
+            col = basis.column(i)
+            assert col.dtype == np.float64
+            assert np.max(np.abs(col - table[:, i])) <= 1e-12
+
+    def test_folded_fit_matches_dense_fit(self):
+        # the folded basis prices in single precision; the fit must still
+        # reach the double-precision optimum, on targets that are the
+        # moments of a random distribution over the grid, with and without
+        # noise, for every degree up to the DP pipeline's k = 2h
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            points = Grid.uniform(int(rng.integers(1, 30))).points
+            k = int(rng.integers(1, points.size))
+            rows = cheb_t_table(k, points)[1:]
+            j = np.arange(1, k + 1)
+            weights = 1.0 / (j * j)
+            consistent = rows @ rng.dirichlet(np.ones(points.size))
+            for target in (consistent, consistent + rng.normal(0, 0.05, k)):
+                dense = fit_simplex(DenseBasis(rows), weights, target)
+                folded = fit_simplex(_FoldedUniformBasis(points, k), weights, target)
+                assert dense.converged and folded.converged
+                assert abs(folded.objective - dense.objective) <= 1e-15
+                assert frank_wolfe_gap(rows, weights, target, folded.weights) <= 1e-11
+
 
 class TestExactFit:
     @settings(max_examples=200, deadline=None)
@@ -127,11 +172,29 @@ class TestExactFit:
             target = rows @ rng.dirichlet(np.ones(g))
         else:
             target = rng.normal(0, 1.5, k)
-        solution = fit_simplex(DenseBasis(rows), weights, target, None, 1e-10, 100)
+        solution = fit_simplex(DenseBasis(rows), weights, target)
         assert solution.converged
         assert abs(solution.objective - brute_force_simplex_fit(rows, weights, target)) <= 1e-12
         assert solution.weights.min() >= 0
         assert abs(solution.weights.sum() - 1.0) <= 1e-12
+
+
+    def test_rounding_level_cycle_stops(self):
+        # moments of random grid subsets on ill-conditioned uniform-grid
+        # tables: once f is at rounding level a Wolfe step can fail to
+        # lower it, and these draws cycled to the 3 g step cap before the
+        # fit stopped on a step that does not lower f
+        for seed in (15, 18, 64, 78, 224, 238):
+            rng = np.random.default_rng(seed)
+            points = Grid.uniform(int(rng.integers(1, 30))).points
+            k = int(rng.integers(1, points.size))
+            rows = cheb_t_table(k, points)[1:]
+            weights = 1.0 / np.arange(1, k + 1) ** 2
+            atoms = int(rng.integers(1, points.size + 1))
+            z = np.zeros(points.size)
+            z[rng.choice(points.size, atoms, replace=False)] = rng.dirichlet(np.ones(atoms))
+            for basis in (DenseBasis(rows), _FoldedUniformBasis(points, k)):
+                assert fit_simplex(basis, weights, rows @ z).converged
 
 
 class TestWeightedQp:
