@@ -7,12 +7,9 @@ __version__ = "0.1.0"
 from .chebyshev import (
     ChebCoefficients,
     JacksonDamping,
-    MultiIndex,
     cheb_interpolation_coeffs,
     cheb_series_eval,
     cheb_t,
-    cheb_t_multi,
-    cheb_u,
     chebyshev_nodes,
     coefficient_decay_functional,
     jackson_damped_coeffs,
@@ -24,7 +21,6 @@ from .distributions import (
     Grid,
     MomentErrorReport,
     MomentVector,
-    arccos_round,
     cheb_moments,
     cheb_moments_multi,
     moment_error_gamma,
@@ -66,9 +62,7 @@ from .sde import (
     LinearOperator,
     SdeConfig,
     estimate_spectral_density,
-    exact_spectral_density,
     hutchinson_cheb_moments,
-    jacobi_eigenvalues,
     power_method_bound,
     probe_schedule,
 )

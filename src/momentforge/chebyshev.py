@@ -1,6 +1,6 @@
 """Chebyshev polynomial primitives on [-1, 1].
 
-Evaluation (first and second kind, Clenshaw series evaluation), Chebyshev
+Evaluation (first kind, tables, Clenshaw series evaluation), Chebyshev
 nodes, the integer smoothing-kernel coefficients and the damping factors
 derived from them, interpolation coefficients, and the weighted coefficient
 energy used to certify Lipschitz-like coefficient decay.
@@ -48,26 +48,6 @@ def cheb_t(j, x):
     else:
         prev = np.ones_like(xv)
         cur = xv.copy()
-        for _ in range(j - 1):
-            prev, cur = cur, 2.0 * xv * cur - prev
-        out = cur
-    return float(out[0]) if scalar else out
-
-
-def cheb_u(j, x):
-    """U_j(x) via the recurrence U_j = 2 x U_{j-1} - U_{j-2}, U_1 = 2x."""
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    xc = _clamped(x)
-    scalar = xc.ndim == 0
-    xv = np.atleast_1d(xc)
-    if j == 0:
-        out = np.ones_like(xv)
-    elif j == 1:
-        out = 2.0 * xv
-    else:
-        prev = np.ones_like(xv)
-        cur = 2.0 * xv
         for _ in range(j - 1):
             prev, cur = cur, 2.0 * xv * cur - prev
         out = cur
@@ -254,46 +234,3 @@ def jackson_damped_coeffs(f, k, oversample=4):
     interp = cheb_interpolation_coeffs(f, oversample * k)
     damped = interp.values[: k + 1] * jackson_damping(k).damping
     return ChebCoefficients(damped, UNNORMALIZED)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A tuple of nonnegative degrees, one per coordinate (d <= 3)."""
-
-    K: tuple
-
-    def __post_init__(self):
-        K = tuple(int(v) for v in self.K)
-        if not 1 <= len(K) <= 3:
-            raise ValueError("dimension must be 1, 2 or 3")
-        if any(v < 0 for v in K):
-            raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "K", K)
-
-    @property
-    def d(self):
-        return len(self.K)
-
-    @property
-    def norm2_sq(self):
-        return sum(v * v for v in self.K)
-
-    @property
-    def norm2(self):
-        return math.sqrt(self.norm2_sq)
-
-    @property
-    def nnz(self):
-        return sum(1 for v in self.K if v != 0)
-
-
-def cheb_t_multi(K, x):
-    """Product of per-coordinate first-kind values: prod_i T_{K_i}(x_i)."""
-    degrees = K.K if isinstance(K, MultiIndex) else tuple(int(v) for v in K)
-    point = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(degrees) != point.size:
-        raise ValueError("index and point dimensions differ")
-    out = 1.0
-    for deg, coord in zip(degrees, point):
-        out *= cheb_t(deg, float(coord))
-    return out

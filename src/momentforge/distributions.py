@@ -322,19 +322,3 @@ def grid_round_indices(points, grid):
         raise ValueError("index rounding is defined on uniform 1-D grids")
     half_steps = int(round(1.0 / grid.spacing))
     return _round_uniform_axis(points, half_steps, grid.points)
-
-
-def arccos_round(x, grid):
-    """Nearest Chebyshev node in arccos distance; ties to the smaller index.
-
-    The gap satisfies |arccos x - arccos y| <= pi / (2 g).
-    """
-    if grid.kind != CHEBYSHEV_NODES:
-        raise ValueError("arccos rounding needs a chebyshev_nodes grid")
-    g = grid.size
-    xv = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-    theta = np.arccos(xv)
-    u = (theta - np.pi / (2 * g)) / (np.pi / g)
-    idx = np.ceil(u - 0.5).astype(int)
-    idx = np.clip(idx, 0, g - 1)
-    return grid.points[idx]

@@ -3,9 +3,12 @@
 The 1-D pipeline rounds the data to a uniform grid, releases Gaussian-noised
 normalized moments with a per-index variance schedule, and fits a
 distribution on the same grid by weighted moment regression. The d in {2,3}
-variant does the same over a tensor grid and tensor moments. Everything
-after the noise draw is a pure function of the noisy moments and public
-parameters, so a run can be replayed without the raw data.
+variant does the same over a tensor grid and tensor moments. Both apply the
+moment map in double precision without a dense table: the 1-D grid through
+`recovery.NufftBasis`, the tensor grid through `recovery.KroneckerBasis`,
+built afresh for each call. Everything after the noise draw is a pure
+function of the noisy moments and public parameters, so a run can be
+replayed without the raw data.
 
 Data outside [-1,1] is clamped (and counted); clamping is itself
 data-dependent, which is a privacy caveat for production use.
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import seeded_standard_normals
-from .chebyshev import cheb_t_table
 from .distributions import (
     DiscreteDistribution,
     Grid,
@@ -27,15 +29,9 @@ from .distributions import (
     NORMALIZED,
     grid_round_indices,
     multi_indices,
-    multi_moment_normalizer,
     round_to_grid,
 )
-from .recovery import DenseBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
-
-# 1-D moment tables of k times the grid size at least this many entries are
-# stored folded by parity in single precision, which the fit uses only to
-# price coordinates; smaller ones are stored dense in double precision
-FOLDED_FLOAT32_MIN_ENTRIES = 4_000_000
+from .recovery import KroneckerBasis, NufftBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
 
 
 @dataclass(frozen=True)
@@ -191,84 +187,13 @@ def _clamp_data(data):
     return np.clip(arr, -1.0, 1.0), clamped
 
 
-_qp_cache: dict = {}
-
-
-def _cached_basis(grid, k):
-    key = (grid.kind, grid.size, k)
-    hit = _qp_cache.get(key)
-    if hit is not None:
-        basis, pts = hit
-        if np.array_equal(pts, grid.points):
-            return basis
-    if grid.size * k >= FOLDED_FLOAT32_MIN_ENTRIES:
-        basis = _FoldedUniformBasis(grid.points, k)
-    else:
-        basis = DenseBasis(cheb_t_table(k, grid.points)[1:])
-    _qp_cache.clear()  # keep at most one (large) cached basis
-    _qp_cache[key] = (basis, grid.points)
-    return basis
-
-
-class _FoldedUniformBasis:
-    """The moment map on a symmetric uniform grid, folded by parity.
-
-    T_j(-x) = (-1)^j T_j(x), so even-degree rows act on z_i + z_{-i} and
-    odd-degree rows on z_i - z_{-i}; both half-size tables together hold
-    half the entries of the dense table. Stored in single precision, so
-    `apply` and `apply_adjoint` carry ~1e-7 relative error; `column` is
-    float64, which is what the fit's gap test and factor use.
-    """
-
-    def __init__(self, points, k):
-        r = points.shape[0]
-        if r % 2 == 0 or not np.allclose(points, -points[::-1]):
-            raise ValueError("folding needs a symmetric odd-size grid")
-        self.points = points
-        self.size = r
-        self.k = k
-        self.mid = r // 2
-        half_pts = points[self.mid :]  # 0, ..., 1
-        table = cheb_t_table(k, half_pts)
-        self.even_j = np.arange(2, k + 1, 2)
-        self.odd_j = np.arange(1, k + 1, 2)
-        self.rows_even = table[self.even_j].astype(np.float32)  # on x >= 0
-        self.rows_odd = table[self.odd_j][:, 1:].astype(np.float32)  # on x > 0
-
-    def apply(self, z):
-        zf = z.astype(np.float64, copy=False)
-        plus = zf[self.mid :]
-        minus = zf[self.mid :: -1]
-        even_in = (plus + minus).astype(np.float32)
-        even_in[0] = np.float32(zf[self.mid])
-        odd_in = (plus[1:] - minus[1:]).astype(np.float32)
-        out = np.empty(self.k)
-        out[self.even_j - 1] = self.rows_even @ even_in
-        out[self.odd_j - 1] = self.rows_odd @ odd_in
-        return out
-
-    def apply_adjoint(self, v):
-        ve = v[self.even_j - 1].astype(np.float32)
-        vo = v[self.odd_j - 1].astype(np.float32)
-        even_half = (self.rows_even.T @ ve).astype(np.float64)
-        odd_half = (self.rows_odd.T @ vo).astype(np.float64)
-        out = np.empty(self.size)
-        out[self.mid] = even_half[0]
-        out[self.mid + 1 :] = even_half[1:] + odd_half
-        out[self.mid - 1 :: -1] = even_half[1:] - odd_half
-        return out
-
-    def column(self, i):
-        return np.cos(np.arange(1, self.k + 1) * np.arccos(self.points[i]))
-
-
 def synthesize_from_noisy_moments(noisy, grid):
     """Post-processing half of the pipeline: fit the grid distribution to the
     released noisy moments. Pure in (noisy moments, public parameters)."""
     k = noisy.k
     plain = MomentVector(noisy.values, NORMALIZED).to_plain()
     cfg = RecoveryConfig(k=k, grid=grid)
-    solution = solve_weighted_qp(plain, cfg, basis=_cached_basis(grid, k))
+    solution = solve_weighted_qp(plain, cfg, basis=NufftBasis(grid.points, k))
     weights = solution.weights / solution.weights.sum()
     dist = DiscreteDistribution(grid.points, weights).pruned()
     return dist, solution
@@ -300,7 +225,7 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     idx = grid_round_indices(values, grid)
     counts = np.bincount(idx, minlength=grid.size)
     rounded_weights = counts / n
-    exact_plain = _cached_basis(grid, k).apply(rounded_weights)
+    exact_plain = NufftBasis(grid.points, k).apply(rounded_weights)
     exact_norm = exact_plain * math.sqrt(2.0 / math.pi)
     noise, variances = gaussian_noise_vector(k, sigma2, seed)
     noisy = NoisyMoments(values=exact_norm + noise, variances=variances, seed=seed)
@@ -323,19 +248,6 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     return DpSynthesisResult(distribution=dist, noisy_moments=noisy, report=report)
 
 
-def _tensor_moment_rows(grid, indices, m):
-    """(num indices, num grid points) table of normalized tensor values."""
-    d = grid.d
-    axis_tables = [cheb_t_table(m, grid.points[:, axis]) for axis in range(d)]
-    rows = np.empty((len(indices), grid.points.shape[0]))
-    for row, K in enumerate(indices):
-        prod = axis_tables[0][K[0]]
-        for axis in range(1, d):
-            prod = prod * axis_tables[axis][K[axis]]
-        rows[row] = prod * multi_moment_normalizer(K, d)
-    return rows
-
-
 def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     """The d in {2,3} tensor pipeline.
 
@@ -343,7 +255,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     m = ceil(2 (eps n)^{1/d}), per-index noise variance ||K||_2 sigma^2 with
     sigma^2 built from the exact norm sum, and the exact
     1/||K||_2^2-weighted fit of the normalized tensor moments over the
-    tensor grid (`recovery.fit_simplex` on a float64 table); the report's
+    tensor grid (`recovery.fit_simplex` on the Kronecker map); the report's
     `converged` is the fit's own certificate.
     """
     points = np.asarray(data, dtype=float)
@@ -366,7 +278,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     rounded = round_to_grid(points, grid)
     rounded_dist = DiscreteDistribution.uniform_over(rounded)
     indices = multi_indices(m, d)
-    rows = _tensor_moment_rows(grid, indices, m)
+    basis = KroneckerBasis(grid.axis_points, m, d)
     # accumulate the rounded data's weights on the tensor grid
     axis = grid.axis_points
     flat_idx = np.zeros(n, dtype=np.int64)
@@ -375,7 +287,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
         flat_idx = flat_idx * axis.size + pos
     counts = np.bincount(flat_idx, minlength=grid.points.shape[0])
     grid_weights = counts / n
-    exact = rows @ grid_weights
+    exact = basis.apply(grid_weights)
     noise, variances = gaussian_noise_vector(indices, sigma2, seed)
     noisy = NoisyMoments(
         values=exact + noise, variances=variances, seed=seed, indices=tuple(indices)
@@ -383,7 +295,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
 
     norms_sq = np.array([sum(v * v for v in K) for K in indices], dtype=float)
     weights = 1.0 / norms_sq
-    solution = fit_simplex(DenseBasis(rows), weights, noisy.values)
+    solution = fit_simplex(basis, weights, noisy.values)
     z, f = solution.weights, solution.objective
     dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
     report = DpSynthesisReport(

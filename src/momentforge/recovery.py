@@ -5,9 +5,13 @@ feasibility variant with per-moment tolerance boxes, and the simplex
 projection they share. `fit_simplex` solves the fit exactly at every size
 with a Lawson-Hanson active set that touches the moment map only through
 its adjoint and single columns, so it never needs a dense table. The
-feasibility fit runs accelerated projected gradient. On Chebyshev-node
-grids the moment map is applied through a DCT, so large grids never
-materialize a dense basis.
+feasibility fit runs accelerated projected gradient.
+
+The moment maps ("bases") share one protocol, stated on `DenseBasis`, and
+all work in double precision: an explicit table (`DenseBasis`), a DCT on
+Chebyshev-node grids (`_DctBasis`), a NUFFT on arbitrary 1-D points
+(`NufftBasis`) and a Kronecker product of per-axis tables on tensor grids
+(`KroneckerBasis`). The fast ones never materialize a dense table.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .distributions import (
     Grid,
     cheb_moments,
     moment_error_gamma,
+    multi_indices,
+    multi_moment_normalizer,
 )
 
 PRUNE_THRESHOLD = 1e-15
@@ -124,8 +130,12 @@ def simplex_project(v):
 class DenseBasis:
     """Moment map z -> (sum_i z_i T_j(x_i))_{j=1..k} as an explicit matrix.
 
-    A basis is anything with `k`, `size`, `apply`, `apply_adjoint` and
-    `column(i)`, the float64 moments of grid point i.
+    A basis is anything with `k` (moments), `size` (grid points),
+    `apply(z)` (the k moments of grid weights z), `apply_adjoint(v)` (its
+    transpose, the product that prices every grid point) and `column(i)`,
+    the exact float64 moments of grid point i. A fast basis may round in
+    `apply` and `apply_adjoint` (to ~1e-13 relative here); `column` is
+    what the fit's factor and gap test use.
     """
 
     def __init__(self, rows):
@@ -166,6 +176,115 @@ class _DctBasis:
 
     def column(self, i):
         return np.cos(np.arange(1, self.k + 1) * np.arccos(self.nodes[i]))
+
+
+# The NUFFT spreading kernel: the "exponential of semicircle"
+# exp(beta (sqrt(1 - z^2) - 1)), |z| <= 1 (Barnett, Magland and af
+# Klinteberg 2019), spanning _ES_WIDTH points of a fine grid with
+# _ES_OVERSAMPLING times as many points as modes, and their beta = 2.30 w
+# for oversampling 2. The maps then agree with cos(j arccos x) to ~1e-14
+# relative at k = 100, and beyond that to the ~j eps rounding of the
+# cosines themselves.
+_ES_WIDTH = 16
+_ES_OVERSAMPLING = 2
+_ES_BETA = 2.30 * _ES_WIDTH
+# Gauss-Legendre rule for the kernel's Fourier transform over its support
+_ES_NODES, _ES_WEIGHTS = np.polynomial.legendre.leggauss(2 * _ES_WIDTH + 40)
+_ES_KERNEL_AT_NODES = _ES_WEIGHTS * np.exp(_ES_BETA * (np.sqrt(1.0 - _ES_NODES**2) - 1.0))
+
+
+class NufftBasis:
+    """The moment map on arbitrary points of [-1, 1] as a type-1/type-2
+    NUFFT (Dutt and Rokhlin 1993) with the ES kernel, in double precision.
+
+    With theta_i = arccos x_i, (B^T u)_i = sum_j u_j cos(j theta_i): the
+    adjoint divides u by the kernel's Fourier transform, takes one inverse
+    real FFT onto the fine grid of spacing 2 pi / N and gathers the _ES_WIDTH
+    fine values around each theta_i; `apply` spreads z onto the fine grid
+    and takes one real FFT. The spreading indices, taken modulo N for the
+    periodic wrap at theta = 0, and their kernel weights are computed once.
+    Costs O(size * _ES_WIDTH + k log k) per product.
+    """
+
+    def __init__(self, points, k):
+        self.points = np.asarray(points, dtype=float)
+        self.size = self.points.size
+        self.k = k
+        theta = np.arccos(np.clip(self.points, -1.0, 1.0))
+        modes = 2 * k + 1
+        self.n_fine = scipy.fft.next_fast_len(max(_ES_OVERSAMPLING * modes, 2 * _ES_WIDTH))
+        step = 2.0 * math.pi / self.n_fine
+        half_width = 0.5 * _ES_WIDTH * step
+        first = np.ceil(theta / step - 0.5 * _ES_WIDTH)
+        fine = first[:, None] + np.arange(_ES_WIDTH)
+        z = (theta[:, None] - fine * step) / half_width
+        self.spread_weights = np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+        self.spread_index = fine.astype(np.int64) % self.n_fine
+        # the kernel's Fourier transform at j = 1..k
+        j = np.arange(1, k + 1)
+        phases = np.outer(j, half_width * _ES_NODES)
+        kernel_hat = half_width * (np.cos(phases) @ _ES_KERNEL_AT_NODES)
+        self.adjoint_scale = math.pi / kernel_hat
+        self.apply_scale = step / kernel_hat
+
+    def apply(self, z):
+        spread = np.bincount(
+            self.spread_index.ravel(),
+            weights=(self.spread_weights * z[:, None]).ravel(),
+            minlength=self.n_fine,
+        )
+        return scipy.fft.rfft(spread)[1 : self.k + 1].real * self.apply_scale
+
+    def apply_adjoint(self, v):
+        spectrum = np.zeros(self.n_fine // 2 + 1)
+        spectrum[1 : self.k + 1] = v * self.adjoint_scale
+        fine = scipy.fft.irfft(spectrum, self.n_fine)
+        return np.einsum("ij,ij->i", fine[self.spread_index], self.spread_weights)
+
+    def column(self, i):
+        return np.cos(np.arange(1, self.k + 1) * np.arccos(self.points[i]))
+
+
+class KroneckerBasis:
+    """The normalized tensor moments on the C-order tensor grid of
+    `axis_points` in d = 2 or 3: index K of `multi_indices(m, d)` maps z to
+    multi_moment_normalizer(K, d) sum_i z_i prod_a T_{K_a}(x_{i,a}).
+
+    The box {0..m}^d minus the origin makes the map a Kronecker product of
+    one (m+1) x len(axis_points) Chebyshev table per axis, so `apply`
+    contracts the grid weights with it one axis at a time, keeps the
+    C-order ravel without its first (zero-index) entry and scales it; the
+    adjoint runs the same steps in reverse.
+    """
+
+    def __init__(self, axis_points, m, d):
+        self.table = cheb_t_table(m, axis_points)
+        self.d = d
+        self.shape_in = (self.table.shape[1],) * d
+        self.shape_out = (m + 1,) * d
+        self.size = self.table.shape[1] ** d
+        self.k = (m + 1) ** d - 1
+        self.scale = np.array([multi_moment_normalizer(K, d) for K in multi_indices(m, d)])
+
+    def apply(self, z):
+        out = z.reshape(self.shape_in)
+        for _ in range(self.d):
+            out = np.tensordot(out, self.table, axes=([0], [1]))
+        return out.ravel()[1:] * self.scale
+
+    def apply_adjoint(self, v):
+        full = np.zeros(self.k + 1)
+        full[1:] = v * self.scale
+        out = full.reshape(self.shape_out)
+        for _ in range(self.d):
+            out = np.tensordot(out, self.table, axes=([0], [0]))
+        return out.ravel()
+
+    def column(self, i):
+        col = np.ones(1)
+        for axis_index in np.unravel_index(i, self.shape_in):
+            col = np.multiply.outer(col, self.table[:, axis_index]).ravel()
+        return col[1:] * self.scale
 
 
 def _make_basis(grid, k):
@@ -262,9 +381,14 @@ def _accelerated_simplex_minimize(
     return best, best_img, f_best, iterations, converged, trace_arr
 
 
-def _add_column(q, w, col):
-    """Extend E_S W = Q (Q orthonormal) by one column of E in O(rows * s),
-    or None when the column lies in the span of Q to rounding."""
+def _add_column(qbuf, w, col):
+    """Extend E_S W = Q (Q orthonormal, the first s = len(w) columns of the
+    Fortran-order buffer `qbuf`) by one column of E in O(rows * s). Writes
+    the new column of Q into the buffer, doubling its capacity when full,
+    and returns (buffer, grown W), or None when the column lies in the span
+    of Q to rounding."""
+    s = w.shape[0]
+    q = qbuf[:, :s]
     r = q.T @ col
     rest = col - q @ r
     again = q.T @ rest  # reorthogonalize once
@@ -272,23 +396,29 @@ def _add_column(q, w, col):
     rho = np.linalg.norm(rest)
     if rho <= 1e-12 * np.linalg.norm(col):
         return None
+    if s == qbuf.shape[1]:
+        wider = np.empty((qbuf.shape[0], 2 * s), order="F")
+        wider[:, :s] = q
+        qbuf = wider
+    qbuf[:, s] = rest / rho
     grown = np.pad(w, ((0, 1), (0, 1)))
     grown[:-1, -1] = -(w @ (r + again)) / rho
     grown[-1, -1] = 1.0 / rho
-    return np.column_stack([q, rest / rho]), grown
+    return qbuf, grown
 
 
-def _drop_column(q, w, j):
+def _drop_column(qbuf, w, j):
     """Remove support position j from E_S W = Q: a Householder reflection
     turns row j of W into a multiple of the last unit vector, after which
-    the last columns of Q and W carry the dropped column alone."""
+    the last columns of Q and W carry the dropped column alone. Q shrinks
+    in place in `qbuf`; returns the new W."""
+    q = qbuf[:, : w.shape[0]]
     h = w[j] / np.linalg.norm(w[j])
     h[-1] += 1.0 if h[-1] >= 0.0 else -1.0
     scale = 2.0 / (h @ h)
-    q = q[:, :-1] - np.outer(scale * (q @ h), h[:-1])
+    q[:, :-1] -= np.outer(scale * (q @ h), h[:-1])
     w = np.delete(w, j, axis=0)
-    w = w[:, :-1] - np.outer(scale * (w @ h), h[:-1])
-    return q, w
+    return w[:, :-1] - np.outer(scale * (w @ h), h[:-1])
 
 
 def fit_simplex(basis, weights, target, keep_trace=False):
@@ -308,13 +438,15 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     `basis.column`, are kept only as E_S W = Q with Q orthonormal: the
     affine point is proportional to W W^T 1 and its residual is
     (Q W^T 1)[1:] / sum(W W^T 1), and adding or dropping a column costs
-    O(k s). Memory is O(k s) beside the basis.
+    O(k s). Q lives in a Fortran-order buffer whose column capacity
+    doubles when full, so a column is written in place, never copied with
+    the rest. Memory is O(k s) beside the basis.
 
     Converged when the Frank-Wolfe gap 2 (f - d_enter . r), which bounds
     the distance to the optimal objective, falls to rounding level (the
-    entering price is recomputed from the float64 column, so a basis may
-    price in lower precision), when the entering column already lies in
-    the span of the support's, or when a step fails to lower f, which
+    entering price is recomputed from the exact column, so a fast map's
+    rounding only steers which column enters), when the entering column
+    already lies in the span of the support's, or when a step fails to lower f, which
     Wolfe's step does whenever the gap is positive unless f is at rounding
     level. At most 3 g outer steps; stopping there is not converged.
     """
@@ -329,7 +461,9 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     support, x = np.array([start]), np.array([1.0])
     col = lifted(start)
     norm = np.linalg.norm(col)
-    q, w = (col / norm)[:, None], np.array([[1.0 / norm]])
+    qbuf = np.empty((k + 1, min(16, g)), order="F")
+    qbuf[:, 0] = col / norm
+    w = np.array([[1.0 / norm]])
     resid = col[1:]
     f = float(resid @ resid)
     best = (support, x)
@@ -342,14 +476,14 @@ def fit_simplex(basis, weights, target, keep_trace=False):
         enter = int(np.argmin(price))
         col = lifted(enter)
         gap = 2.0 * (f - col[1:] @ resid)
-        grown = _add_column(q, w, col) if gap > gap_tol else None
+        grown = _add_column(qbuf, w, col) if gap > gap_tol else None
         # a gap at rounding level, or a column already in the support's
         # affine hull, whose gap is then rounding in the support's fit
         if grown is None:
             converged = True
             outer -= 1
             break
-        q, w = grown
+        qbuf, w = grown
         support, x = np.append(support, enter), np.append(x, 0.0)
         while True:
             lift_sum = w.sum(axis=0)
@@ -365,10 +499,10 @@ def fit_simplex(basis, weights, target, keep_trace=False):
             x = x + ratios[block] * (s - x)
             x[block] = 0.0
             for j in np.flatnonzero(x <= 0.0)[::-1]:
-                q, w = _drop_column(q, w, j)
+                w = _drop_column(qbuf, w, j)
             support, x = support[x > 0.0], x[x > 0.0]
         x = s
-        resid = (q @ lift_sum)[1:] / total
+        resid = (qbuf[:, : support.size] @ lift_sum)[1:] / total
         f_step = float(resid @ resid)
         converged = f_step >= f
         if not converged:

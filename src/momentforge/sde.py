@@ -6,8 +6,7 @@ distribution by stochastic trace estimation with a per-degree probe
 schedule, and recovers a distribution through the box-constrained moment
 fit. When the probe schedule would cost more products than reading the
 matrix column by column, the pipeline reads the matrix instead and
-eigendecomposes it directly. A cyclic Jacobi eigensolver is included as an
-independent oracle for tests.
+eigendecomposes it directly.
 """
 
 from __future__ import annotations
@@ -334,66 +333,3 @@ def _rescaled_support(support, scale, weights=None):
     if weights is None:
         weights = np.full(sup.shape[0], 1.0 / sup.shape[0])
     return DiscreteDistribution.on_real_line(sup, weights)
-
-
-def jacobi_eigenvalues(matrix, off_norm_tol=1e-10, max_sweeps=60):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair above a per-sweep threshold until
-    the off-diagonal Frobenius norm drops below `off_norm_tol`. Test oracle:
-    O(n^3) per sweep, intended for n <= 2048.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.shape[0] > 2048:
-        raise ValueError("oracle eigensolver capped at n = 2048")
-    if np.max(np.abs(a - a.T)) > 1e-8:
-        raise ValueError("matrix is not symmetric within 1e-8")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[np.diag_indices(1)].copy()
-    off_part = np.empty_like(a)
-    for _ in range(max_sweeps):
-        # norm of the zero-diagonal copy: immune to the cancellation that
-        # hits the sum-of-squares difference once the matrix is nearly
-        # diagonal
-        np.copyto(off_part, a)
-        np.fill_diagonal(off_part, 0.0)
-        off = float(np.linalg.norm(off_part))
-        if off <= off_norm_tol:
-            break
-        threshold = off / n  # classical threshold strategy: skip tiny pivots
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * 1e-4:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation on rows/columns p and q
-                ap = a[p].copy()
-                aq = a[q].copy()
-                a[p] = c * ap - s * aq
-                a[q] = s * ap + c * aq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    else:
-        raise RuntimeError("rotation sweeps did not reach the target off-norm")
-    return np.sort(np.diag(a))
-
-
-def exact_spectral_density(matrix):
-    """Uniform distribution over the eigenvalues, via the Jacobi oracle."""
-    eigs = jacobi_eigenvalues(matrix)
-    return _rescaled_support(eigs, 1.0)

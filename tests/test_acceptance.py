@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from oracles import exact_spectral_density
+
 from momentforge.chebyshev import (
     cheb_interpolation_coeffs,
     cheb_series_eval,
@@ -56,7 +58,6 @@ from momentforge.sde import (
     LinearOperator,
     SdeConfig,
     estimate_spectral_density,
-    exact_spectral_density,
     hutchinson_cheb_moments,
     probe_schedule,
 )

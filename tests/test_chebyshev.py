@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import MultiIndex, cheb_t_multi, cheb_u
+
 from momentforge.chebyshev import (
     ChebCoefficients,
-    MultiIndex,
     NORMALIZED,
     cheb_interpolation_coeffs,
     cheb_series_eval,
     cheb_t,
-    cheb_t_multi,
     cheb_t_table,
-    cheb_u,
     chebyshev_nodes,
     coefficient_decay_functional,
     jackson_damped_coeffs,

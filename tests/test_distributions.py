@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from oracles import arccos_round
+
 from momentforge.chebyshev import cheb_t
 from momentforge.distributions import (
     DiscreteDistribution,
@@ -13,7 +15,6 @@ from momentforge.distributions import (
     MomentVector,
     NORMALIZED,
     PLAIN,
-    arccos_round,
     cheb_moments,
     cheb_moments_multi,
     grid_round_indices,

@@ -17,7 +17,6 @@ from momentforge.distributions import (
     w1_distance,
 )
 from momentforge.dpsynth import (
-    FOLDED_FLOAT32_MIN_ENTRIES,
     NoisyMoments,
     PrivacyBudget,
     dp_synthesize,
@@ -205,15 +204,15 @@ class TestPipeline1D:
         with pytest.raises(ValueError):
             dp_synthesize(np.array([0.1, 0.2]), budget, seed=0)
 
-    def test_folded_fit_converges_exactly(self):
-        # eps n = 1000 gives a k x r table of 2000 x 2001 entries, stored
-        # folded in single precision; the fit must still certify the
-        # double-precision optimum on its own
+    def test_nufft_fit_converges_exactly(self):
+        # eps n = 1000 gives a k x r map of 2000 x 2001 entries, applied as
+        # a NUFFT with rounding of its own; the fit must still certify the
+        # optimum of the dense float64 table on its own
         budget = PrivacyBudget(epsilon=0.5, delta=1e-4)
         data = np.random.default_rng(6).uniform(-1, 1, 2000)
         result = dp_synthesize(data, budget, seed=5)
         k, r = result.report.k, result.report.r
-        assert k * r >= FOLDED_FLOAT32_MIN_ENTRIES
+        assert (k, r) == (2000, 2001)
         assert result.report.converged
         grid = Grid.uniform(math.ceil(budget.epsilon * 2000))
         z = np.zeros(r)

@@ -13,12 +13,15 @@ from momentforge.distributions import (
     MomentVector,
     cheb_moments,
     moment_error_gamma,
+    multi_indices,
+    multi_moment_normalizer,
     w1_distance,
 )
-from momentforge.dpsynth import _FoldedUniformBasis
 from momentforge.recovery import (
     RecoveryConfig,
     DenseBasis,
+    KroneckerBasis,
+    NufftBasis,
     _DctBasis,
     default_grid_size,
     fit_simplex,
@@ -78,6 +81,21 @@ def frank_wolfe_gap(rows, weights, target, z):
     return float(grad @ z - grad.min())
 
 
+def assert_map_matches_table(basis, table, rng, rel=1e-10):
+    """apply, apply_adjoint and every column(i) of a fast map within `rel`
+    (relative, in the max norm) of the float64 table."""
+    k, size = table.shape
+    assert (basis.k, basis.size) == (k, size)
+    z = rng.dirichlet(np.ones(size))
+    v = rng.normal(size=k)
+    for got, want in ((basis.apply(z), table @ z), (basis.apply_adjoint(v), table.T @ v)):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+    for i in range(size):
+        col = basis.column(i)
+        assert col.dtype == np.float64
+        assert np.max(np.abs(col - table[:, i])) <= rel * np.max(np.abs(table[:, i]))
+
+
 def random_distribution(rng, points):
     support = rng.uniform(-1, 1, points)
     weights = rng.dirichlet(np.ones(points))
@@ -127,9 +145,9 @@ class TestBases:
         [
             (lambda k, x: DenseBasis(cheb_t_table(k, x)[1:]), Grid.uniform(20).points),
             (lambda k, x: _DctBasis(x.size, k), Grid.chebyshev(200).points),
-            (lambda k, x: _FoldedUniformBasis(x, k), Grid.uniform(100).points),
+            (lambda k, x: NufftBasis(x, k), Grid.uniform(100).points),
         ],
-        ids=["dense", "dct", "folded"],
+        ids=["dense", "dct", "nufft"],
     )
     def test_column_is_float64_table_column(self, make, points):
         k = 40
@@ -140,9 +158,32 @@ class TestBases:
             assert col.dtype == np.float64
             assert np.max(np.abs(col - table[:, i])) <= 1e-12
 
-    def test_folded_fit_matches_dense_fit(self):
-        # the folded basis prices in single precision; the fit must still
-        # reach the double-precision optimum, on targets that are the
+    @pytest.mark.parametrize("h", [1, 2, 5, 50, 1024])
+    def test_nufft_matches_dense(self, h):
+        # uniform grids hold -1, 0 and +1, where theta = arccos x sits on
+        # the periodic wrap (0, pi) and at its middle
+        points = Grid.uniform(h).points
+        k = 2 * h
+        table = cheb_t_table(k, points)[1:]
+        assert_map_matches_table(NufftBasis(points, k), table, np.random.default_rng(h))
+
+    @pytest.mark.parametrize("d,h", [(2, 3), (2, 12), (3, 2), (3, 6)])
+    def test_kronecker_matches_dense(self, d, h):
+        grid = Grid.tensor_uniform(h, d)
+        m = 2 * h
+        axis_tables = [cheb_t_table(m, grid.points[:, axis]) for axis in range(d)]
+        table = np.array(
+            [
+                multi_moment_normalizer(K, d) * np.prod([axis_tables[a][K[a]] for a in range(d)], 0)
+                for K in multi_indices(m, d)
+            ]
+        )
+        basis = KroneckerBasis(grid.axis_points, m, d)
+        assert_map_matches_table(basis, table, np.random.default_rng(10 * d + h))
+
+    def test_nufft_fit_matches_dense_fit(self):
+        # the NUFFT basis prices with rounding of its own; the fit must
+        # still reach the dense table's optimum, on targets that are the
         # moments of a random distribution over the grid, with and without
         # noise, for every degree up to the DP pipeline's k = 2h
         for seed in range(100):
@@ -155,10 +196,10 @@ class TestBases:
             consistent = rows @ rng.dirichlet(np.ones(points.size))
             for target in (consistent, consistent + rng.normal(0, 0.05, k)):
                 dense = fit_simplex(DenseBasis(rows), weights, target)
-                folded = fit_simplex(_FoldedUniformBasis(points, k), weights, target)
-                assert dense.converged and folded.converged
-                assert abs(folded.objective - dense.objective) <= 1e-15
-                assert frank_wolfe_gap(rows, weights, target, folded.weights) <= 1e-11
+                fast = fit_simplex(NufftBasis(points, k), weights, target)
+                assert dense.converged and fast.converged
+                assert abs(fast.objective - dense.objective) <= 1e-15
+                assert frank_wolfe_gap(rows, weights, target, fast.weights) <= 1e-11
 
 
 class TestExactFit:
@@ -193,7 +234,7 @@ class TestExactFit:
             atoms = int(rng.integers(1, points.size + 1))
             z = np.zeros(points.size)
             z[rng.choice(points.size, atoms, replace=False)] = rng.dirichlet(np.ones(atoms))
-            for basis in (DenseBasis(rows), _FoldedUniformBasis(points, k)):
+            for basis in (DenseBasis(rows), NufftBasis(points, k)):
                 assert fit_simplex(basis, weights, rows @ z).converged
 
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import exact_spectral_density, jacobi_eigenvalues
+
 from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import DiscreteDistribution, w1_distance
 from momentforge.sde import (
     LinearOperator,
     SdeConfig,
     estimate_spectral_density,
-    exact_spectral_density,
     hutchinson_cheb_moments,
-    jacobi_eigenvalues,
     power_method_bound,
     probe_schedule,
     schedule_matvec_cost,
