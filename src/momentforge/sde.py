@@ -4,7 +4,9 @@ A symmetric operator is accessed only through products; the pipeline bounds
 its norm by the power method, estimates Chebyshev moments of the eigenvalue
 distribution by stochastic trace estimation with a per-degree probe
 schedule, and recovers a distribution through the box-constrained moment
-fit. When the probe schedule would cost more products than reading the
+fit, the library's one exact simplex fit with tolerance-scaled residuals.
+The power method and the probes draw from independent seeded streams.
+When the probe schedule would cost more products than reading the
 matrix column by column, the pipeline reads the matrix instead and
 eigendecomposes it directly.
 """
@@ -260,7 +262,11 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     reading the matrix directly (whichever needs fewer products); the probe
     pipeline scales by the power-method bound, estimates moments, and feeds
     the box-constrained moment fit with tolerances sqrt(j) gamma +
-    j sqrt(2 pi) / g. An infeasible fit doubles the tolerance once.
+    j sqrt(2 pi) / g: any grid distribution inside those boxes keeps the
+    W1 bound, and the exact fit certifies that its answer lies inside them.
+    An infeasible fit doubles the tolerance once. The power method draws
+    from a child of `SeedSequence(seed)`, independent of the probes'
+    `PCG64(seed)` stream.
     """
     cfg = SdeConfig(
         epsilon=epsilon,
@@ -293,7 +299,8 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
         return SdeResult(distribution=_rescaled_support(eigs, 1.0), report=report)
 
     if norm_bound is None:
-        power = power_method_bound(op, power_iters, seed)
+        power_seed = np.random.SeedSequence(seed).spawn(1)[0]
+        power = power_method_bound(op, power_iters, power_seed)
         norm_bound = power.value
     start = op.matvec_count
     scaled = op.scaled(1.0 / norm_bound)
@@ -301,7 +308,7 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     g = cfg.grid_size
     j = np.arange(1, k + 1)
     tols = np.sqrt(j) * cfg.gamma + j * math.sqrt(2.0 * math.pi) / g
-    lp_cfg = RecoveryConfig(k=k, g=g, tolerance=1e-12, max_iters=200 * g)
+    lp_cfg = RecoveryConfig(k=k, g=g)
     solution = solve_moment_lp(moments, tols, lp_cfg)
     doubled = False
     if not solution.feasible:

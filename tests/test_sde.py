@@ -301,6 +301,28 @@ class TestEstimatePipeline:
         assert np.array_equal(doubled.distribution.support, 2.0 * base.distribution.support)
         assert np.array_equal(doubled.distribution.weights, base.distribution.weights)
 
+    def test_power_method_stream_independent_of_probes(self):
+        # the probes draw from PCG64(seed); the power method must not start
+        # from the same stream
+        rng = np.random.default_rng(31)
+        n, seed = 192, 5
+        diag = rng.uniform(-0.9, 0.9, n)
+        applied = []
+
+        def matvec(v):
+            if v.ndim == 1:
+                applied.append(v.copy())
+            return diag[:, None] * v if v.ndim == 2 else diag * v
+
+        op = LinearOperator(n, matvec)
+        result = estimate_spectral_density(
+            op, epsilon=0.5, delta=0.2, seed=seed, probe_constant=0.02, degree_constant=8.0
+        )
+        assert result.report.path == "hutchinson"
+        shared = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+        start = applied[0]
+        assert abs(start @ shared) / np.linalg.norm(shared) < 0.5
+
     def test_budget_formula(self):
         assert matvec_budget(256, 0.1, 0.1) == pytest.approx(
             min(
