@@ -65,12 +65,19 @@ def _default_seed():
     return int(env) if env else 0
 
 
-def _manifest(subcommand, args, input_paths):
-    params = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    digests = {}
-    for path in input_paths:
-        if path is not None:
-            digests[str(path)] = sha256_file(path)
+_INPUT_ARGS = ("moments", "data", "matrix", "obs", "truth")
+_FILE_ARGS = _INPUT_ARGS + ("out", "report")
+
+
+def _manifest(subcommand, args):
+    # files appear by name and input digest, never by directory, so where a
+    # run's files live changes neither its result nor its report
+    params = {
+        k: os.path.basename(v) if k in _FILE_ARGS and v else v
+        for k, v in vars(args).items()
+        if k not in ("func",)
+    }
+    digests = {k: sha256_file(getattr(args, k)) for k in _INPUT_ARGS if getattr(args, k, None)}
     return {
         "subcommand": subcommand,
         "parameters": {k: (v if not isinstance(v, float) or math.isfinite(v) else str(v)) for k, v in params.items()},
@@ -97,7 +104,7 @@ def _cmd_recover(args):
             "objective": result.objective,
             "iterations": result.iterations,
             "converged": result.converged,
-            "manifest": _manifest("recover", args, [args.moments]),
+            "manifest": _manifest("recover", args),
         }
         write_json_report(payload, args.report)
     return EXIT_OK if result.converged else EXIT_SOLVER
@@ -120,7 +127,7 @@ def _cmd_dp_synth(args):
             payload["w1_vs_input"] = w1_distance(
                 DiscreteDistribution.uniform_over(clipped), result.distribution
             )
-        payload["manifest"] = _manifest("dp-synth", args, [args.data])
+        payload["manifest"] = _manifest("dp-synth", args)
         write_json_report(payload, args.report)
     return EXIT_OK if result.report.converged else EXIT_SOLVER
 
@@ -134,7 +141,7 @@ def _cmd_sde(args):
     save_distribution_csv(result.distribution, args.out)
     if args.report:
         payload = asdict(result.report)
-        payload["manifest"] = _manifest("sde", args, [args.matrix])
+        payload["manifest"] = _manifest("sde", args)
         write_json_report(payload, args.report)
     return EXIT_OK if result.report.lp_feasible else EXIT_SOLVER
 
@@ -164,7 +171,7 @@ def _cmd_popmle(args):
             payload["w1_naive_vs_truth"] = w1_unit_interval(
                 naive_estimator(observations, args.t), truth
             )
-        payload["manifest"] = _manifest("popmle", args, [args.obs, args.truth])
+        payload["manifest"] = _manifest("popmle", args)
         write_json_report(payload, args.report)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
@@ -189,7 +196,7 @@ def _cmd_experiment_dp(args):
             "generator": args.dist,
             "n_values": ns,
             "mean_w1": means,
-            "manifest": _manifest("experiment-dp", args, []),
+            "manifest": _manifest("experiment-dp", args),
         }
         write_json_report(payload, args.report)
     return EXIT_OK

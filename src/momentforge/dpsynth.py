@@ -6,9 +6,9 @@ distribution on the same grid by weighted moment regression. The d in {2,3}
 variant does the same over a tensor grid and tensor moments. Both apply the
 moment map in double precision without a dense table: the 1-D grid through
 `recovery.NufftBasis`, the tensor grid through `recovery.KroneckerBasis`,
-built afresh for each call. Everything after the noise draw is a pure
-function of the noisy moments and public parameters, so a run can be
-replayed without the raw data.
+each built once per release for both the exact moments and the fit.
+Everything after the noise draw is a pure function of the noisy moments
+and public parameters, so a run can be replayed without the raw data.
 
 Data outside [-1,1] is clamped (and counted); clamping is itself
 data-dependent, which is a privacy caveat for production use.
@@ -190,10 +190,14 @@ def _clamp_data(data):
 def synthesize_from_noisy_moments(noisy, grid):
     """Post-processing half of the pipeline: fit the grid distribution to the
     released noisy moments. Pure in (noisy moments, public parameters)."""
-    k = noisy.k
+    return _fit_grid(noisy, grid, NufftBasis(grid.points, noisy.k))
+
+
+def _fit_grid(noisy, grid, basis):
+    # basis is NufftBasis(grid.points, noisy.k): built from public parameters only
     plain = MomentVector(noisy.values, NORMALIZED).to_plain()
-    cfg = RecoveryConfig(k=k, grid=grid)
-    solution = solve_weighted_qp(plain, cfg, basis=NufftBasis(grid.points, k))
+    cfg = RecoveryConfig(k=noisy.k, grid=grid)
+    solution = solve_weighted_qp(plain, cfg, basis=basis)
     weights = solution.weights / solution.weights.sum()
     dist = DiscreteDistribution(grid.points, weights).pruned()
     return dist, solution
@@ -225,12 +229,13 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     idx = grid_round_indices(values, grid)
     counts = np.bincount(idx, minlength=grid.size)
     rounded_weights = counts / n
-    exact_plain = NufftBasis(grid.points, k).apply(rounded_weights)
+    basis = NufftBasis(grid.points, k)
+    exact_plain = basis.apply(rounded_weights)
     exact_norm = exact_plain * math.sqrt(2.0 / math.pi)
     noise, variances = gaussian_noise_vector(k, sigma2, seed)
     noisy = NoisyMoments(values=exact_norm + noise, variances=variances, seed=seed)
 
-    dist, solution = synthesize_from_noisy_moments(noisy, grid)
+    dist, solution = _fit_grid(noisy, grid, basis)
     report = DpSynthesisReport(
         n=n,
         k=k,

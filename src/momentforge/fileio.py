@@ -1,4 +1,11 @@
-"""CSV, Matrix Market and report file handling shared by the CLI."""
+"""CSV, Matrix Market and report file handling shared by the CLI.
+
+The numeric CSV loaders share one row parser, NumPy's C reader
+(`np.loadtxt`: `,` delimiter, no comments, no quoting). A field reads as
+`float()` reads it, except that digit-separator underscores (`1_000`) are
+rejected. Lines holding only blanks and commas are skipped. Errors carry
+the 1-based line number, counting header and skipped lines.
+"""
 
 from __future__ import annotations
 
@@ -21,6 +28,56 @@ class CsvFormatError(ValueError):
         self.line_no = line_no
 
 
+def _has_fields(line):
+    return bool(line.replace(",", "").strip())
+
+
+def _parse(lines):
+    with warnings.catch_warnings():  # no rows is reported by the callers
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _numeric_rows(path, skip=0, width=None):
+    """The rows after line `skip` as a 2-D float64 array, each of `width`
+    fields (default: the first row's). Lines stream to the parser, so none
+    is held past its parse. Bad rows and no rows raise CsvFormatError."""
+    with open(path) as fh:
+        for _ in range(skip):
+            fh.readline()
+        try:
+            rows = _parse(line for line in fh if _has_fields(line))
+        except ValueError:
+            rows = None
+    if rows is not None and rows.size and width in (None, rows.shape[1]):
+        return rows
+    _raise_bad_row(path, skip, width)
+
+
+def _raise_bad_row(path, skip, width):
+    """Error path only: parse line by line to name the first bad row."""
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no <= skip or not _has_fields(line):
+                continue
+            try:
+                fields = _parse([line]).shape[1]
+            except ValueError:
+                raise CsvFormatError(path, line_no, "non-numeric field") from None
+            width = width or fields
+            if fields != width:
+                raise CsvFormatError(path, line_no, "wrong number of fields")
+    raise CsvFormatError(path, skip + 1, "no data rows")
+
+
+def _header(path):
+    with open(path) as fh:
+        line = fh.readline()
+    if not line:
+        raise CsvFormatError(path, 1, "empty file")
+    return [h.strip() for h in line.split(",")]
+
+
 def _float_repr(value):
     return "%.17g" % value
 
@@ -41,30 +98,12 @@ def save_distribution_csv(dist, path):
 def load_distribution_csv(path):
     """Inverse of save_distribution_csv; renormalizes with a warning when
     the weights sum more than 1e-6 away from 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(path, 1, "empty file")
-        expected = {1: ["x", "weight"], 2: ["x1", "x2", "weight"], 3: ["x1", "x2", "x3", "weight"]}
-        header = [h.strip() for h in header]
-        d = len(header) - 1
-        if expected.get(d) != header:
-            raise CsvFormatError(path, 1, f"unexpected header {header!r}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise CsvFormatError(path, line_no, "wrong number of fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise CsvFormatError(path, line_no, "non-numeric field")
-    if not rows:
-        raise CsvFormatError(path, 2, "no data rows")
-    data = np.asarray(rows)
+    header = _header(path)
+    d = len(header) - 1
+    expected = {1: ["x", "weight"], 2: ["x1", "x2", "weight"], 3: ["x1", "x2", "x3", "weight"]}
+    if expected.get(d) != header:
+        raise CsvFormatError(path, 1, f"unexpected header {header!r}")
+    data = _numeric_rows(path, skip=1, width=d + 1)
     support = data[:, 0] if d == 1 else data[:, :d]
     weights = data[:, -1]
     total = weights.sum()
@@ -76,29 +115,16 @@ def load_distribution_csv(path):
 
 
 def load_dataset_csv(path):
-    """Rows of one value per dimension; an optional non-numeric first row is
-    treated as a header."""
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not field.strip() for field in row):
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                if line_no == 1:
-                    continue  # header
-                raise CsvFormatError(path, line_no, "non-numeric field")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise CsvFormatError(path, line_no, "inconsistent row width")
-            rows.append(values)
-    if not rows:
-        raise CsvFormatError(path, 1, "no data rows")
-    data = np.asarray(rows)
+    """Rows of one value per dimension, all of one width; a 1-D array for
+    one column. Line 1 is a header, and skipped, when it does not parse."""
+    with open(path) as fh:
+        first = fh.readline()
+    try:
+        _parse([first])
+        skip = 0
+    except ValueError:
+        skip = 1
+    data = _numeric_rows(path, skip=skip)
     return data[:, 0] if data.shape[1] == 1 else data
 
 
@@ -111,31 +137,15 @@ def save_moments_csv(moments, path):
 
 
 def load_moments_csv(path):
-    """Header j,m with contiguous indices 1..k; plain convention."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(path, 1, "empty file")
-        if header != ["j", "m"]:
-            raise CsvFormatError(path, 1, f"unexpected header {header!r}")
-        pairs = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(path, line_no, "wrong number of fields")
-            try:
-                pairs.append((int(row[0]), float(row[1])))
-            except ValueError:
-                raise CsvFormatError(path, line_no, "non-numeric field")
-    if not pairs:
-        raise CsvFormatError(path, 2, "no data rows")
-    indices = [j for j, _ in pairs]
-    if indices != list(range(1, len(pairs) + 1)):
-        raise ValueError(f"{path}: moment indices must be contiguous from 1")
-    return MomentVector(np.array([m for _, m in pairs]), PLAIN)
+    """Header j,m, then rows j,m with integer indices 1..k in order; plain
+    convention."""
+    header = _header(path)
+    if header != ["j", "m"]:
+        raise CsvFormatError(path, 1, f"unexpected header {header!r}")
+    rows = _numeric_rows(path, skip=1, width=2)
+    if not np.array_equal(rows[:, 0], np.arange(1, rows.shape[0] + 1)):
+        raise ValueError(f"{path}: moment indices must be the integers 1..k in order")
+    return MomentVector(rows[:, 1], PLAIN)
 
 
 def load_matrix(path):
@@ -148,17 +158,7 @@ def load_matrix(path):
         mat = scipy.io.mmread(text)
         dense = np.asarray(mat.todense() if hasattr(mat, "todense") else mat, dtype=float)
     else:
-        rows = []
-        with open(text, newline="") as fh:
-            reader = csv.reader(fh)
-            for line_no, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise CsvFormatError(text, line_no, "non-numeric field")
-        dense = np.asarray(rows)
+        dense = _numeric_rows(text)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError(f"{path}: matrix is not square")
     return dense

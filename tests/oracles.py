@@ -2,12 +2,13 @@
 
 They are deliberately independent of the code under test: a Jacobi
 eigensolver that uses no LAPACK, the second-kind Chebyshev recurrence,
-pointwise tensor Chebyshev products, and arccos-distance rounding onto
-Chebyshev nodes.
+pointwise tensor Chebyshev products, arccos-distance rounding onto
+Chebyshev nodes, and a row-by-row `csv` + `float()` dataset reader.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from momentforge.chebyshev import cheb_t
 from momentforge.distributions import CHEBYSHEV_NODES, DiscreteDistribution
+from momentforge.fileio import CsvFormatError
 
 DOMAIN_SLACK = 1e-12
 
@@ -183,3 +185,31 @@ def exact_spectral_density(matrix):
     """Uniform distribution over the eigenvalues, via the Jacobi oracle."""
     eigs = jacobi_eigenvalues(matrix)
     return DiscreteDistribution.on_real_line(eigs, np.full(eigs.size, 1.0 / eigs.size))
+
+
+def load_dataset_csv_rows(path):
+    """The dataset reader before the C parser: csv.reader rows through
+    float(), blank-and-comma-only rows skipped, a non-numeric line 1 taken
+    as a header."""
+    rows = []
+    width = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for line_no, row in enumerate(reader, start=1):
+            if not row or all(not field.strip() for field in row):
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                if line_no == 1:
+                    continue  # header
+                raise CsvFormatError(path, line_no, "non-numeric field")
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise CsvFormatError(path, line_no, "inconsistent row width")
+            rows.append(values)
+    if not rows:
+        raise CsvFormatError(path, 1, "no data rows")
+    data = np.asarray(rows)
+    return data[:, 0] if data.shape[1] == 1 else data

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import load_dataset_csv_rows
 
 from momentforge.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from momentforge.distributions import DiscreteDistribution, cheb_moments
@@ -14,6 +20,7 @@ from momentforge.fileio import (
     load_moments_csv,
     save_distribution_csv,
     save_moments_csv,
+    sha256_file,
 )
 
 
@@ -71,10 +78,69 @@ class TestFileIo:
         assert moments.k == 8
 
     def test_moments_need_contiguous_indices(self, tmp_path):
+        # indices parse as floats, so 1.5 must be refused as well as a gap
         path = tmp_path / "m.csv"
-        path.write_text("j,m\n1,0.5\n3,0.25\n")
-        with pytest.raises(ValueError):
-            load_moments_csv(path)
+        for text in ("j,m\n1,0.5\n3,0.25\n", "j,m\n1.5,0.5\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="indices"):
+                load_moments_csv(path)
+
+    @pytest.mark.parametrize(
+        "loader,text,line_no,message",
+        [
+            (load_dataset_csv, "value\n0.5\n\n , ,\n0.25\nabc\n", 6, "non-numeric field"),
+            (load_dataset_csv, "x,y\n1,2\n\n3,4\n5\n", 5, "wrong number of fields"),
+            (load_dataset_csv, "1\n1_000\n", 2, "non-numeric field"),
+            (load_moments_csv, "j,m\n1,0.5\n\n2,oops\n", 4, "non-numeric field"),
+            (load_matrix, "1.0,0.5\n\n0.5,x\n", 3, "non-numeric field"),
+            (load_dataset_csv, "", 1, "no data rows"),
+            (load_dataset_csv, "value\n\n", 2, "no data rows"),
+            (load_moments_csv, "j,m\n", 2, "no data rows"),
+        ],
+    )
+    def test_bad_row_line_number(self, tmp_path, loader, text, line_no, message):
+        # the count includes the header and the skipped blank lines
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=message) as err:
+            loader(path)
+        assert err.value.line_no == line_no
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.floats(width=64), min_size=1, max_size=60),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 100), st.sampled_from(["", "  ", ",", " , ,", "\t"])), max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.sampled_from(["%.17g", "%r"]),
+    )
+    def test_dataset_matches_row_reader(self, cols, values, header, blanks, eol, trailing, fmt):
+        # bit-identical to the csv + float() reader it replaced, or the same
+        # error line
+        rows = [values[i : i + cols] for i in range(0, len(values) - cols + 1, cols)] or [values[:1] * cols]
+        lines = [",".join(fmt % v for v in row) for row in rows]
+        if header:
+            lines.insert(0, ",".join(["value"] * cols))
+        for at, blank in blanks:
+            lines.insert(at % (len(lines) + 1), blank)
+        text = eol.join(lines) + (eol if trailing else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                expected = load_dataset_csv_rows(path)
+            except CsvFormatError as exc:
+                with pytest.raises(CsvFormatError) as err:
+                    load_dataset_csv(path)
+                assert err.value.line_no == exc.line_no
+                return
+            got = load_dataset_csv(path)
+        assert got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_matrix_market_symmetric(self, tmp_path):
         path = tmp_path / "a.mtx"
@@ -113,6 +179,13 @@ class TestExitCodes:
         assert main(["recover", "--moments", str(path), "--out", str(out)]) == EXIT_IO
         assert ":3:" in capsys.readouterr().err
 
+    def test_malformed_obs_row_is_io(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("3\n5\nfive\n")
+        out = tmp_path / "q.csv"
+        assert main(["popmle", "--obs", str(obs), "--t", "8", "--out", str(out)]) == EXIT_IO
+        assert ":3:" in capsys.readouterr().err
+
     def test_validation_error(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("0.5\n0.1\n")
@@ -139,7 +212,25 @@ class TestRecoverCommand:
         assert payload["k"] == 8
         assert payload["converged"] is True
         assert payload["manifest"]["subcommand"] == "recover"
-        assert str(moments_file) in payload["manifest"]["inputs"]
+        assert payload["manifest"]["inputs"] == {"moments": sha256_file(moments_file)}
+        assert payload["manifest"]["parameters"]["moments"] == moments_file.name
+
+    def test_report_independent_of_directory(self, tmp_path, moments_file):
+        # the manifest names files without their directories
+        reports = []
+        for sub in ("a", "run-in-a-longer-directory"):
+            where = tmp_path / sub
+            where.mkdir()
+            moments = where / "moments.csv"
+            moments.write_bytes(moments_file.read_bytes())
+            report = where / "r.json"
+            code = main([
+                "recover", "--moments", str(moments), "--out", str(where / "q.csv"),
+                "--report", str(report),
+            ])
+            assert code == EXIT_OK
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_exact_moments_converge(self, tmp_path):
         # the first 5-atom draw of this seed at k = 16 used to end at the
