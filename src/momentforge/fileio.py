@@ -38,17 +38,27 @@ def _parse(lines):
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
+def _after(fh, skip):
+    fh.seek(0)
+    for _ in range(skip):
+        fh.readline()
+    return fh
+
+
 def _numeric_rows(path, skip=0, width=None):
     """The rows after line `skip` as a 2-D float64 array, each of `width`
-    fields (default: the first row's). Lines stream to the parser, so none
-    is held past its parse. Bad rows and no rows raise CsvFormatError."""
+    fields (default: the first row's). The parser first reads the file
+    itself, which skips empty lines; only if that fails are the lines
+    re-read through a filter that also drops blank-and-comma-only lines,
+    none held past its parse. Bad rows and no rows raise CsvFormatError."""
     with open(path) as fh:
-        for _ in range(skip):
-            fh.readline()
         try:
-            rows = _parse(line for line in fh if _has_fields(line))
+            rows = _parse(_after(fh, skip))
         except ValueError:
-            rows = None
+            try:
+                rows = _parse(line for line in _after(fh, skip) if _has_fields(line))
+            except ValueError:
+                rows = None
     if rows is not None and rows.size and width in (None, rows.shape[1]):
         return rows
     _raise_bad_row(path, skip, width)

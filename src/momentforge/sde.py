@@ -5,10 +5,14 @@ its norm by the power method, estimates Chebyshev moments of the eigenvalue
 distribution by stochastic trace estimation with a per-degree probe
 schedule, and recovers a distribution through the box-constrained moment
 fit, the library's one exact simplex fit with tolerance-scaled residuals.
+The moment estimates use the product identities T_{2d} = 2 T_d^2 - 1 and
+T_{2d+1} = 2 T_{d+1} T_d - T_1 (the kernel polynomial method's halving),
+so degree k costs the probes' recurrence only up to degree ceil(k / 2):
+l_1 + l_3 + l_5 + ... products for the schedule l_1 >= l_2 >= ... >= l_k.
 The power method and the probes draw from independent seeded streams.
 When the probe schedule would cost more products than reading the
-matrix column by column, the pipeline reads the matrix instead and
-eigendecomposes it directly.
+matrix column by column, the pipeline reads the matrix instead, charging
+n products, and eigendecomposes it directly.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ class LinearOperator:
         self.n = int(n)
         self._matvec = matvec
         self._count = 0
+        self._dense = None  # the matrix itself, when built from one
 
     @property
     def matvec_count(self):
@@ -92,7 +97,9 @@ class LinearOperator:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense operator needs a square matrix")
-        return cls(a.shape[0], lambda v: a @ v)
+        op = cls(a.shape[0], lambda v: a @ v)
+        op._dense = a
+        return op
 
     @classmethod
     def from_diagonal(cls, diag):
@@ -151,10 +158,10 @@ def probe_schedule(n, k, gamma, alpha, probe_constant):
 
 
 def schedule_matvec_cost(schedule):
-    """Total products when each probe's recurrence stream is shared downward:
-    probe i runs to the largest degree still using it, so the cost is the
-    plain sum of the schedule."""
-    return int(np.sum(schedule))
+    """Products `hutchinson_cheb_moments` spends on a schedule: degree d of
+    the recurrence runs on the l_{2d-1} probes whose moments still need it,
+    so the cost is l_1 + l_3 + l_5 + ..., about half the schedule's sum."""
+    return int(np.sum(schedule[0::2]))
 
 
 @dataclass
@@ -193,27 +200,50 @@ def power_method_bound(op, iters, seed):
 def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
     """Stochastic Chebyshev moment estimates of the spectral density.
 
-    m_j = mean over the first l_j probes of g^T T_j(A) g / n, with Rademacher
-    probes sharing one recurrence stream each, so column i is advanced only
-    while degree-j estimates still use it. The operator must already have
-    norm at most 1. Returns (moments, matvecs used, schedule).
+    m_j = mean over the first l_j probes g of g^T T_j(A) g / n, with
+    Rademacher probes and a nonincreasing schedule l_1 >= ... >= l_k. The
+    product identities T_{2d} = 2 T_d^2 - 1 and T_{2d+1} = 2 T_{d+1} T_d - T_1
+    give the same estimates from the recurrence run only to degree
+    ceil(k / 2):
+
+        m_{2d}   = (2 sum ||T_d g||^2 - sum g.g) / (l_{2d} n)
+        m_{2d+1} = (2 sum (T_{d+1} g).(T_d g) - sum g.T_1 g) / (l_{2d+1} n)
+
+    each sum over the first l_j probes. Degree d advances the first
+    l_{2d-1} columns, so the run costs sum_d l_{2d-1} = schedule[0::2].sum()
+    products (`schedule_matvec_cost`). The operator must already have norm
+    at most 1. Returns (moments, matvecs used, schedule).
     """
     n = op.n
     if k is None:
         k = cfg.k
     if schedule is None:
         schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
+    counts = [int(c) for c in schedule[:k]]
+    if any(later > earlier for earlier, later in zip(counts, counts[1:])):
+        raise ValueError("probe schedule must be nonincreasing")
     start_count = op.matvec_count
-    probes = seeded_rademacher(cfg.seed, (n, int(schedule[0])))
-    estimates = np.empty(k)
+    probes = seeded_rademacher(cfg.seed, (n, counts[0]))
     t_prev = probes  # T_0(A) G
-    t_cur = op.apply_block(probes[:, : schedule[0]])  # T_1(A) G
-    estimates[0] = np.einsum("ij,ij->", probes[:, : schedule[0]], t_cur) / (schedule[0] * n)
-    for j in range(2, k + 1):
-        active = int(schedule[j - 1])
-        t_next = 2.0 * op.apply_block(t_cur[:, :active]) - t_prev[:, :active]
-        estimates[j - 1] = np.einsum("ij,ij->", probes[:, :active], t_next) / (active * n)
-        t_prev, t_cur = t_cur[:, :active], t_next
+    t_cur = op.apply_block(probes)  # T_1(A) G
+    # prefix sums over columns of g.g and g.T_1 g, the identities' corrections
+    gg = np.cumsum(np.einsum("ij,ij->j", probes, probes))
+    gt1 = np.cumsum(np.einsum("ij,ij->j", probes, t_cur))
+    estimates = np.empty(k)
+    estimates[0] = gt1[counts[0] - 1] / (counts[0] * n)
+    for d in range(1, (k + 1) // 2 + 1):
+        if d > 1:  # T_d on the l_{2d-1} columns still in use
+            active = counts[2 * d - 2]
+            t_next = 2.0 * op.apply_block(t_cur[:, :active])
+            t_next -= t_prev[:, :active]
+            t_prev, t_cur = t_cur[:, :active], t_next
+            cross = np.einsum("ij,ij->", t_cur, t_prev)
+            estimates[2 * d - 2] = (2.0 * cross - gt1[active - 1]) / (active * n)
+        if 2 * d <= k:
+            even = counts[2 * d - 1]
+            head = t_cur[:, :even]
+            square = np.einsum("ij,ij->", head, head)
+            estimates[2 * d - 1] = (2.0 * square - gg[even - 1]) / (even * n)
     used = op.matvec_count - start_count
     return MomentVector(estimates, PLAIN), used, schedule
 
@@ -248,11 +278,17 @@ def matvec_budget(n, epsilon, delta):
 
 
 def _dense_read_density(op):
-    """Read the matrix with standard-basis products and eigendecompose."""
-    columns = op.apply_block(np.eye(op.n))
-    sym = 0.5 * (columns + columns.T)
-    eigs = np.linalg.eigvalsh(sym)
-    return eigs
+    """Read the matrix and eigendecompose, charging n products. An operator
+    built from a dense matrix hands it over; any other is read by products
+    with the standard basis."""
+    columns = op._dense
+    if columns is None:
+        columns = op.apply_block(np.eye(op.n))
+    else:
+        op._charge(op.n)
+    sym = columns + columns.T
+    sym *= 0.5
+    return np.linalg.eigvalsh(sym)
 
 
 def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_constant=16.0, degree_constant=80.0):

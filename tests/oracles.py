@@ -3,7 +3,8 @@
 They are deliberately independent of the code under test: a Jacobi
 eigensolver that uses no LAPACK, the second-kind Chebyshev recurrence,
 pointwise tensor Chebyshev products, arccos-distance rounding onto
-Chebyshev nodes, and a row-by-row `csv` + `float()` dataset reader.
+Chebyshev nodes, a row-by-row `csv` + `float()` dataset reader, and the
+three-term Hutchinson loop that spends one product per probe per degree.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from momentforge._normal import seeded_rademacher
 from momentforge.chebyshev import cheb_t
 from momentforge.distributions import CHEBYSHEV_NODES, DiscreteDistribution
 from momentforge.fileio import CsvFormatError
@@ -213,3 +215,21 @@ def load_dataset_csv_rows(path):
         raise CsvFormatError(path, 1, "no data rows")
     data = np.asarray(rows)
     return data[:, 0] if data.shape[1] == 1 else data
+
+
+def hutchinson_three_term(op, seed, k, schedule):
+    """Chebyshev moment estimates before the product identities: each of the
+    first l_j probes runs the recurrence to degree j, and m_j is the mean of
+    g^T T_j(A) g / n over them. Costs schedule[:k].sum() products."""
+    n = op.n
+    probes = seeded_rademacher(seed, (n, int(schedule[0])))
+    estimates = np.empty(k)
+    t_prev = probes  # T_0(A) G
+    t_cur = op.apply_block(probes)  # T_1(A) G
+    estimates[0] = np.einsum("ij,ij->", probes, t_cur) / (schedule[0] * n)
+    for j in range(2, k + 1):
+        active = int(schedule[j - 1])
+        t_next = 2.0 * op.apply_block(t_cur[:, :active]) - t_prev[:, :active]
+        estimates[j - 1] = np.einsum("ij,ij->", probes[:, :active], t_next) / (active * n)
+        t_prev, t_cur = t_cur[:, :active], t_next
+    return estimates

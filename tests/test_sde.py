@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import exact_spectral_density, jacobi_eigenvalues
+from oracles import exact_spectral_density, hutchinson_three_term, jacobi_eigenvalues
 
 from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import DiscreteDistribution, w1_distance
@@ -122,7 +122,7 @@ class TestSchedule:
     def test_zero_constant_means_single_probe(self):
         schedule = probe_schedule(64, 8, 0.1, 0.01, 0.0)
         assert np.all(schedule == 1)
-        assert schedule_matvec_cost(schedule) == 8
+        assert schedule_matvec_cost(schedule) == 4
 
 
 class TestHutchinson:
@@ -150,12 +150,38 @@ class TestHutchinson:
         assert used == schedule_matvec_cost(schedule)
         assert op.matvec_count == used
 
-    def test_single_probe_costs_k(self):
+    def test_single_probe_costs_half_k(self):
         op = LinearOperator.from_dense(np.eye(8))
         cfg = self._cfg()
         moments, used, schedule = hutchinson_cheb_moments(op, cfg, k=12)
         assert np.all(schedule == 1)
-        assert used == 12
+        assert used == 6
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    def test_matches_three_term_oracle(self, kind, k):
+        # the product identities give the estimates of the degree-by-degree
+        # loop from half its products; a strictly decreasing schedule makes
+        # each odd degree use more probes than the even degree after it
+        rng = np.random.default_rng(37 + k)
+        n = 24
+        if kind == "dense":
+            build, entries = LinearOperator.from_dense, random_symmetric(rng, n)
+        else:
+            build, entries = LinearOperator.from_diagonal, rng.uniform(-1, 1, n)
+        schedule = np.arange(k + 3, 3, -1)
+        cfg = self._cfg(seed=k)
+        op = build(entries)
+        moments, used, reported = hutchinson_cheb_moments(op, cfg, k=k, schedule=schedule)
+        expected = hutchinson_three_term(build(entries), cfg.seed, k, schedule)
+        assert np.max(np.abs(moments.values - expected)) <= 1e-12
+        assert reported is schedule
+        assert used == schedule[0::2].sum() == op.matvec_count
+
+    def test_increasing_schedule_refused(self):
+        op = LinearOperator.from_dense(np.eye(8))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            hutchinson_cheb_moments(op, self._cfg(), k=3, schedule=np.array([1, 2, 2]))
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(11)
@@ -253,6 +279,24 @@ class TestEstimatePipeline:
         oracle = exact_spectral_density(a)
         assert w1_distance(result.distribution, oracle) <= 1e-9
 
+    def test_dense_read_uses_the_matrix_and_charges_n(self):
+        # a dense operator hands its matrix to the read, which still charges
+        # n products and matches the read through standard-basis products
+        rng = np.random.default_rng(41)
+        a = random_symmetric(rng, 16)
+        products = []
+
+        def matvec(v):
+            products.append(v.shape)
+            return a @ v
+
+        dense = estimate_spectral_density(LinearOperator.from_dense(a), epsilon=0.1, delta=0.1, seed=0)
+        read = estimate_spectral_density(LinearOperator(16, matvec), epsilon=0.1, delta=0.1, seed=0)
+        assert dense.report.path == read.report.path == "dense"
+        assert dense.report.matvecs == read.report.matvecs == 16
+        assert products == [(16, 16)]
+        assert np.array_equal(dense.distribution.support, read.distribution.support)
+
     def test_tiny_epsilon_forces_dense(self):
         a = np.diag([0.5, -0.5, 0.25, 0.0])
         op = LinearOperator.from_dense(a)
@@ -322,6 +366,22 @@ class TestEstimatePipeline:
         shared = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
         start = applied[0]
         assert abs(start @ shared) / np.linalg.norm(shared) < 0.5
+
+    def test_path_choice_uses_halved_cost(self):
+        # here the full schedule plus the power iterations would reach n, so
+        # only the halved cost keeps the probe path the cheaper one
+        n = 128
+        diag = np.random.default_rng(43).uniform(-0.9, 0.9, n)
+        op = LinearOperator.from_diagonal(diag)
+        cfg = SdeConfig(epsilon=0.5, delta=0.2, seed=5, probe_constant=0.13, degree_constant=8.0)
+        schedule = probe_schedule(n, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
+        power_iters = math.ceil(10 * math.log(n))
+        assert schedule.sum() + power_iters >= n > schedule[0::2].sum() + power_iters
+        result = estimate_spectral_density(
+            op, epsilon=0.5, delta=0.2, seed=5, probe_constant=0.13, degree_constant=8.0
+        )
+        assert result.report.path == "hutchinson"
+        assert result.report.matvecs == schedule[0::2].sum() + power_iters == op.matvec_count
 
     def test_budget_formula(self):
         assert matvec_budget(256, 0.1, 0.1) == pytest.approx(
