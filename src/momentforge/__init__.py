@@ -33,6 +33,7 @@ from .dpsynth import (
     dp_synthesize,
     dp_synthesize_multi,
     expected_error_curve,
+    gaussian_mechanism_delta,
     gaussian_noise_vector,
     high_probability_bound,
     norm_inverse_sum,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from ._normal import seeded_standard_normals
 from .distributions import (
@@ -89,6 +90,21 @@ def norm_inverse_sum(m, d):
 def norm_inverse_sum_bound(m, d):
     """The closed-form upper bound 4 (pi e)^{d/2} m^{d-1} / (2^d d)."""
     return 4.0 * (math.pi * math.e) ** (d / 2.0) / 2.0**d * m ** (d - 1) / d
+
+
+def gaussian_mechanism_delta(sigma, sensitivity, epsilon):
+    """The exact delta at which adding N(0, sigma^2 I) noise to a release of
+    l2 sensitivity `sensitivity` is (epsilon, delta)-private:
+    Phi(D/(2 sigma) - eps sigma/D) - e^eps Phi(-D/(2 sigma) - eps sigma/D)
+    (Balle and Wang 2018, Thm. 8). The noise schedules satisfy their budget
+    when this is at most budget.delta with sigma^2 = `sigma2` and
+    D^2 = `sensitivity_sq_bound` (1-D), or sigma^2 = `sigma2_multi` and
+    D^2 = 2^(d+1) norm_inverse_sum / (pi^d n^2) (tensor release)."""
+    if sigma <= 0.0 or sensitivity <= 0.0:
+        raise ValueError("sigma and sensitivity must be positive")
+    a = sensitivity / (2.0 * sigma)
+    b = epsilon * sigma / sensitivity
+    return float(ndtr(a - b) - math.exp(epsilon) * ndtr(-a - b))
 
 
 def gaussian_noise_vector(indices, sigma2, seed):

@@ -201,7 +201,9 @@ class NufftBasis:
         self.k = k
         theta = np.arccos(np.clip(self.points, -1.0, 1.0))
         modes = 2 * k + 1
-        self.n_fine = scipy.fft.next_fast_len(max(_ES_OVERSAMPLING * modes, 2 * _ES_WIDTH))
+        self.n_fine = scipy.fft.next_fast_len(
+            max(_ES_OVERSAMPLING * modes, 2 * _ES_WIDTH), real=True
+        )
         step = 2.0 * math.pi / self.n_fine
         half_width = 0.5 * _ES_WIDTH * step
         first = np.ceil(theta / step - 0.5 * _ES_WIDTH)
@@ -304,42 +306,93 @@ def power_step_bound(basis, weights, iters=50, headroom=1.1):
     return headroom * max(lam, 1e-30)
 
 
-def _add_column(qbuf, w, col):
-    """Extend E_S W = Q (Q orthonormal, the first s = len(w) columns of the
-    Fortran-order buffer `qbuf`) by one column of E in O(rows * s). Writes
-    the new column of Q into the buffer, doubling its capacity when full,
-    and returns (buffer, grown W), or None when the column lies in the span
-    of Q to rounding."""
+# Q's columns live in Fortran-order blocks of this many columns
+_Q_BLOCK = 32
+
+
+class _BlockedQ:
+    """The first `count` columns of an orthonormal Q, stored in a list of
+    Fortran-order (rows x _Q_BLOCK) blocks that are never moved or copied:
+    a new column goes into the last block, a full last block gets a new
+    one, and an emptied last block is freed. Memory is at most
+    (count + _Q_BLOCK) * rows doubles."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.blocks = []
+        self.count = 0
+
+    def _views(self):
+        """(start, columns start..start+width of Q) for each block in use."""
+        for start, block in zip(range(0, self.count, _Q_BLOCK), self.blocks):
+            yield start, block[:, : min(_Q_BLOCK, self.count - start)]
+
+    def project_out(self, v):
+        """(Q^T v, v - Q Q^T v), one block at a time, so that each block is
+        read twice while it is still in cache."""
+        coefs = np.empty(self.count)
+        rest = v.copy()
+        for start, view in self._views():
+            part = view.T @ v
+            coefs[start : start + part.size] = part
+            rest -= view @ part
+        return coefs, rest
+
+    def dot(self, c):
+        """Q c."""
+        out = np.zeros(self.rows)
+        for start, view in self._views():
+            out += view @ c[start : start + view.shape[1]]
+        return out
+
+    def append(self, col):
+        if self.count % _Q_BLOCK == 0:
+            self.blocks.append(np.empty((self.rows, _Q_BLOCK), order="F"))
+        self.blocks[-1][:, self.count % _Q_BLOCK] = col
+        self.count += 1
+
+    def reflect_and_pop(self, h, scale):
+        """Q <- Q (I - scale h h^T) on every column but the last, which is
+        then dropped; one block at a time, in place."""
+        qh = scale * self.dot(h)
+        last = self.count - 1
+        for start, view in self._views():
+            width = min(view.shape[1], last - start)
+            if width > 0:
+                view[:, :width] -= np.outer(qh, h[start : start + width])
+        self.count = last
+        if self.count % _Q_BLOCK == 0:
+            self.blocks.pop()
+
+
+def _add_column(q, w, col):
+    """Extend E_S W = Q (Q orthonormal, s = len(w) columns) by one column
+    of E in O(rows * s): Gram-Schmidt with one reorthogonalization. Appends
+    the new column of Q and returns the grown W, or None when the column
+    lies in the span of Q to rounding."""
     s = w.shape[0]
-    q = qbuf[:, :s]
-    r = q.T @ col
-    rest = col - q @ r
-    again = q.T @ rest  # reorthogonalize once
-    rest -= q @ again
+    r, rest = q.project_out(col)
+    again, rest = q.project_out(rest)  # reorthogonalize once
     rho = np.linalg.norm(rest)
     if rho <= 1e-12 * np.linalg.norm(col):
         return None
-    if s == qbuf.shape[1]:
-        wider = np.empty((qbuf.shape[0], 2 * s), order="F")
-        wider[:, :s] = q
-        qbuf = wider
-    qbuf[:, s] = rest / rho
-    grown = np.pad(w, ((0, 1), (0, 1)))
+    q.append(rest / rho)
+    grown = np.zeros((s + 1, s + 1))
+    grown[:s, :s] = w
     grown[:-1, -1] = -(w @ (r + again)) / rho
     grown[-1, -1] = 1.0 / rho
-    return qbuf, grown
+    return grown
 
 
-def _drop_column(qbuf, w, j):
+def _drop_column(q, w, j):
     """Remove support position j from E_S W = Q: a Householder reflection
     turns row j of W into a multiple of the last unit vector, after which
-    the last columns of Q and W carry the dropped column alone. Q shrinks
-    in place in `qbuf`; returns the new W."""
-    q = qbuf[:, : w.shape[0]]
+    the last columns of Q and W carry the dropped column alone and are
+    removed. Q is updated in place; returns the new W."""
     h = w[j] / np.linalg.norm(w[j])
     h[-1] += 1.0 if h[-1] >= 0.0 else -1.0
     scale = 2.0 / (h @ h)
-    q[:, :-1] -= np.outer(scale * (q @ h), h[:-1])
+    q.reflect_and_pop(h, scale)
     w = np.delete(w, j, axis=0)
     return w[:, :-1] - np.outer(scale * (w @ h), h[:-1])
 
@@ -361,9 +414,9 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     `basis.column`, are kept only as E_S W = Q with Q orthonormal: the
     affine point is proportional to W W^T 1 and its residual is
     (Q W^T 1)[1:] / sum(W W^T 1), and adding or dropping a column costs
-    O(k s). Q lives in a Fortran-order buffer whose column capacity
-    doubles when full, so a column is written in place, never copied with
-    the rest. Memory is O(k s) beside the basis.
+    O(k s). Q lives in Fortran-order blocks of 32 columns that are never
+    moved or copied, so its memory is at most (s + 32)(k + 1) doubles
+    beside the basis, and dropping a column reflects Q block by block.
 
     Converged when the Frank-Wolfe gap 2 (f - d_enter . r), which bounds
     the distance to the optimal objective, falls to rounding level (the
@@ -384,8 +437,8 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     support, x = np.array([start]), np.array([1.0])
     col = lifted(start)
     norm = np.linalg.norm(col)
-    qbuf = np.empty((k + 1, min(16, g)), order="F")
-    qbuf[:, 0] = col / norm
+    q = _BlockedQ(k + 1)
+    q.append(col / norm)
     w = np.array([[1.0 / norm]])
     resid = col[1:]
     f = float(resid @ resid)
@@ -399,14 +452,14 @@ def fit_simplex(basis, weights, target, keep_trace=False):
         enter = int(np.argmin(price))
         col = lifted(enter)
         gap = 2.0 * (f - col[1:] @ resid)
-        grown = _add_column(qbuf, w, col) if gap > gap_tol else None
+        grown = _add_column(q, w, col) if gap > gap_tol else None
         # a gap at rounding level, or a column already in the support's
         # affine hull, whose gap is then rounding in the support's fit
         if grown is None:
             converged = True
             outer -= 1
             break
-        qbuf, w = grown
+        w = grown
         support, x = np.append(support, enter), np.append(x, 0.0)
         while True:
             lift_sum = w.sum(axis=0)
@@ -422,10 +475,10 @@ def fit_simplex(basis, weights, target, keep_trace=False):
             x = x + ratios[block] * (s - x)
             x[block] = 0.0
             for j in np.flatnonzero(x <= 0.0)[::-1]:
-                w = _drop_column(qbuf, w, j)
+                w = _drop_column(q, w, j)
             support, x = support[x > 0.0], x[x > 0.0]
         x = s
-        resid = (qbuf[:, : support.size] @ lift_sum)[1:] / total
+        resid = q.dot(lift_sum)[1:] / total
         f_step = float(resid @ resid)
         converged = f_step >= f
         if not converged:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import norm as scipy_norm
 
@@ -22,6 +23,7 @@ from momentforge.dpsynth import (
     dp_synthesize,
     dp_synthesize_multi,
     expected_error_curve,
+    gaussian_mechanism_delta,
     gaussian_noise_vector,
     high_probability_bound,
     norm_inverse_sum,
@@ -120,6 +122,60 @@ class TestBudget:
         n, k = 500, 300
         gaussian_rule = 2 * sensitivity_sq_bound(n, k) * math.log(1.25 / budget.delta) / budget.epsilon**2
         assert budget.sigma2(n, k) == pytest.approx(gaussian_rule)
+
+
+class TestPrivacyGuarantee:
+    """The exact delta of the Gaussian mechanism (Balle and Wang 2018)
+    that each release's noise gives, against its budget."""
+
+    NS = (2, 128, 8192, 10**5)
+    EPSILONS = (0.05, 0.5, 1.0)
+
+    @staticmethod
+    def deltas(n):
+        return (1e-12, 1.0 / n**2, 0.1, 0.99)
+
+    @pytest.mark.parametrize(
+        "sigma,sensitivity,epsilon",
+        [(1.0, 1.0, 0.5), (0.3, 1.0, 1.0), (2.0, 0.5, 0.05), (1.0, 2.0, 0.0)],
+    )
+    def test_matches_hockey_stick_integral(self, sigma, sensitivity, epsilon):
+        # delta(eps) = integral of max(p - e^eps q, 0) for p = N(D, sigma^2), q = N(0, sigma^2)
+        def excess(x):
+            p = scipy_norm.pdf(x, sensitivity, sigma)
+            q = scipy_norm.pdf(x, 0.0, sigma)
+            return max(p - math.exp(epsilon) * q, 0.0)
+
+        # the integrand is positive above x0 = D/2 + eps sigma^2/D
+        x0 = sensitivity / 2.0 + epsilon * sigma**2 / sensitivity
+        want = quad(excess, x0, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
+        got = gaussian_mechanism_delta(sigma, sensitivity, epsilon)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_rejects_nonpositive_scales(self):
+        with pytest.raises(ValueError):
+            gaussian_mechanism_delta(0.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            gaussian_mechanism_delta(1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_one_d_release_meets_budget(self, n, epsilon):
+        k = max(1, math.ceil(2.0 * epsilon * n))
+        sensitivity = math.sqrt(sensitivity_sq_bound(n, k))
+        for delta in self.deltas(n):
+            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2(n, k))
+            assert 0.0 <= gaussian_mechanism_delta(sigma, sensitivity, epsilon) <= delta
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tensor_release_meets_budget(self, n, epsilon, d):
+        m = math.ceil(2.0 * (epsilon * n) ** (1.0 / d))
+        sensitivity = math.sqrt(2.0 * 2.0**d * norm_inverse_sum(m, d) / (math.pi**d * n**2))
+        for delta in self.deltas(n):
+            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2_multi(n, m, d))
+            assert 0.0 <= gaussian_mechanism_delta(sigma, sensitivity, epsilon) <= delta
 
 
 class TestErrorCurves:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,18 @@ from momentforge.distributions import (
     multi_moment_normalizer,
     w1_distance,
 )
+from momentforge import recovery
+from momentforge.dpsynth import PrivacyBudget, dp_synthesize
+from momentforge.experiments import sample_generator
 from momentforge.recovery import (
     RecoveryConfig,
     DenseBasis,
     KroneckerBasis,
     NufftBasis,
+    _BlockedQ,
     _DctBasis,
+    _add_column,
+    _drop_column,
     default_grid_size,
     fit_simplex,
     lp_grid_size,
@@ -236,6 +243,80 @@ class TestExactFit:
             z[rng.choice(points.size, atoms, replace=False)] = rng.dirichlet(np.ones(atoms))
             for basis in (DenseBasis(rows), NufftBasis(points, k)):
                 assert fit_simplex(basis, weights, rows @ z).converged
+
+
+class TestBlockedFactor:
+    """fit_simplex keeps E_S W = Q with Q in 32-column blocks that are
+    never moved; adding and dropping columns must keep the factor exact
+    whichever block the dropped column sits in."""
+
+    def test_factor_invariants_under_adds_and_drops(self):
+        rng = np.random.default_rng(7)
+        rows = 240
+        pool = rng.normal(size=(rows, 200))
+        q, cols = _BlockedQ(rows), [0]
+        q.append(pool[:, 0] / np.linalg.norm(pool[:, 0]))
+        w = np.array([[1.0 / np.linalg.norm(pool[:, 0])]])
+        for step in range(1, 200):
+            w = _add_column(q, w, pool[:, step])
+            cols.append(step)
+            if step % 5 == 0:
+                # drop from a random position, often in an earlier block
+                j = int(rng.integers(len(cols)))
+                w = _drop_column(q, w, j)
+                del cols[j]
+            dense = np.column_stack([view for _, view in q._views()])
+            assert q.count == len(cols) == w.shape[0]
+            assert len(q.blocks) == -(-q.count // 32)
+            assert np.abs(dense.T @ dense - np.eye(q.count)).max() <= 1e-12
+            assert np.abs(pool[:, cols] @ w - dense).max() <= 1e-11
+
+    @pytest.mark.parametrize("h,noise,seed", [(64, 0.01, 0), (128, 0.003, 2), (100, 0.002, 3)])
+    def test_fits_across_blocks_match_dense(self, h, noise, seed, monkeypatch):
+        # DP-shaped noisy targets on uniform grids whose support runs past
+        # two blocks and drops columns from blocks before the last
+        drops, sizes = [], []
+        drop, add = recovery._drop_column, recovery._add_column
+
+        def recording_drop(q, w, j):
+            drops.append((j, w.shape[0]))
+            return drop(q, w, j)
+
+        def recording_add(q, w, col):
+            grown = add(q, w, col)
+            sizes.append(w.shape[0] + (grown is not None))
+            return grown
+
+        monkeypatch.setattr(recovery, "_drop_column", recording_drop)
+        monkeypatch.setattr(recovery, "_add_column", recording_add)
+        rng = np.random.default_rng(seed)
+        points = Grid.uniform(h).points
+        k = 2 * h
+        rows = cheb_t_table(k, points)[1:]
+        j = np.arange(1, k + 1)
+        weights = 1.0 / (j * j)
+        target = rows @ rng.dirichlet(np.full(points.size, 0.5)) + rng.normal(0, noise, k) * np.sqrt(j)
+        fast = fit_simplex(NufftBasis(points, k), weights, target)
+        assert max(sizes) > 2 * 32
+        assert any(pos < (s - 1) // 32 * 32 for pos, s in drops)
+        dense = fit_simplex(DenseBasis(rows), weights, target)
+        assert fast.converged and dense.converged
+        assert abs(fast.objective - dense.objective) <= 1e-12 * dense.objective
+        assert frank_wolfe_gap(rows, weights, target, fast.weights) <= 1e-11
+
+    def test_large_fit_memory_is_bounded(self):
+        # k = 8192, 289 support columns: the blocked factor holds about
+        # 21 MB; a factor that doubles its buffer peaked above 50 MB here
+        n = 8192
+        data = sample_generator("powerlaw", n, 0)
+        tracemalloc.start()
+        try:
+            result = dp_synthesize(data, PrivacyBudget(0.5, 1.0 / n**2), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.report.converged
+        assert peak < 32 * 2**20
 
 
 class TestWeightedQp:
