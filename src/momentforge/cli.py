@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -259,7 +260,10 @@ def _cmd_verify(args):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process. `--seed` defaults to
+    None; `main` fills in MOMENTFORGE_SEED on each call."""
     parser = _Parser(prog="momentforge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -275,7 +279,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
@@ -286,7 +290,7 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_sde)
@@ -306,7 +310,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=8192)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
@@ -320,12 +324,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    default_seed = _default_seed()  # per call: the cached parser holds no seed
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "seed", 0) is None:
+        args.seed = default_seed
     try:
         return args.func(args)
     except CsvFormatError as exc:

@@ -4,7 +4,9 @@ The numeric CSV loaders share one row parser, NumPy's C reader
 (`np.loadtxt`: `,` delimiter, no comments, no quoting). A field reads as
 `float()` reads it, except that digit-separator underscores (`1_000`) are
 rejected. Lines holding only blanks and commas are skipped. Errors carry
-the 1-based line number, counting header and skipped lines.
+the 1-based line number, counting header and skipped lines. The first
+parse hands the reader the file's path, so that it reads the file in
+chunks rather than line by line in Python.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import warnings
 
 import numpy as np
@@ -32,10 +35,25 @@ def _has_fields(line):
     return bool(line.replace(",", "").strip())
 
 
-def _parse(lines):
+def _parse(lines, skip=0):
     with warnings.catch_warnings():  # no rows is reported by the callers
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+
+
+# np.loadtxt opens a str path through np.lib._datasource, which fetches URLs
+# and decompresses by these suffixes
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _plain_name(path, fh):
+    """`path` as a str that np.loadtxt opens as the very file `fh` holds,
+    else None. Names with a colon (every URL scheme needs one) or a
+    compressed suffix, and unseekable files, keep the handle parse."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if isinstance(name, str) and ":" not in name and not name.endswith(_COMPRESSED) and fh.seekable():
+        return name
+    return None
 
 
 def _after(fh, skip):
@@ -48,12 +66,14 @@ def _after(fh, skip):
 def _numeric_rows(path, skip=0, width=None):
     """The rows after line `skip` as a 2-D float64 array, each of `width`
     fields (default: the first row's). The parser first reads the file
-    itself, which skips empty lines; only if that fails are the lines
-    re-read through a filter that also drops blank-and-comma-only lines,
-    none held past its parse. Bad rows and no rows raise CsvFormatError."""
-    with open(path) as fh:
+    itself, from its path where that names the same plain file, and skips
+    empty lines; only if that fails are the lines re-read through a filter
+    that also drops blank-and-comma-only lines, none held past its parse.
+    Bad rows and no rows raise CsvFormatError."""
+    with open(path) as fh:  # a missing or unreadable file fails here, as before
+        name = _plain_name(path, fh)
         try:
-            rows = _parse(_after(fh, skip))
+            rows = _parse(name, skip) if name else _parse(_after(fh, skip))
         except ValueError:
             try:
                 rows = _parse(line for line in _after(fh, skip) if _has_fields(line))
@@ -88,21 +108,17 @@ def _header(path):
     return [h.strip() for h in line.split(",")]
 
 
-def _float_repr(value):
-    return "%.17g" % value
-
-
 def save_distribution_csv(dist, path):
     """Header x,weight (or x1,x2[,x3],weight); 17-digit decimal floats."""
     d = dist.d
     header = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
     header.append("weight")
+    support = dist.support if d > 1 else dist.support[:, None]
+    table = np.column_stack([support, dist.weights])
+    row = ",".join(["%.17g"] * (d + 1)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        support = dist.support if d > 1 else dist.support[:, None]
-        for row, weight in zip(support, dist.weights):
-            writer.writerow([_float_repr(v) for v in row] + [_float_repr(weight)])
+        fh.write(",".join(header) + "\r\n")
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def load_distribution_csv(path):
@@ -143,7 +159,7 @@ def save_moments_csv(moments, path):
         writer = csv.writer(fh)
         writer.writerow(["j", "m"])
         for j, value in enumerate(moments.values, start=1):
-            writer.writerow([j, _float_repr(value)])
+            writer.writerow([j, "%.17g" % value])
 
 
 def load_moments_csv(path):

@@ -171,9 +171,39 @@ class PowerMethodBound:
     iterations: int
 
 
+def power_iterations(n, alpha):
+    """Products after which `power_method_bound` gives norm <= S <= 2 norm
+    with probability at least 1 - alpha: 2 + ceil(log_3 M), where
+    M = 2 (n + 2 sqrt(n t) + 2 t) / (pi p^2), p = alpha / 2, t = ln(1 / p).
+
+    S <= 2 norm always holds, since each estimate is ||A v|| <= ||A||. For
+    the other side, let c be the Gaussian start's coefficients in A's
+    eigenbasis, so c ~ N(0, I_n), and scale A to norm 1 with c_1 on a top
+    eigenvalue. Before product i the iterate is A^(i-1) c up to scale.
+    Splitting the eigenvalues at lambda^2 >= theta, with B the top part's
+    mass sum lambda^(2i-2) c^2 >= c_1^2,
+
+        ||A v||^2 >= theta B / (B + theta^(i-1) ||c||^2)
+                  >= theta / (1 + theta^(i-1) ||c||^2 / c_1^2),
+
+    so ||A v||^2 >= theta / (1 + rho) once theta^(i-1) ||c||^2 / c_1^2
+    <= rho. With theta = rho = 1/3 that is ||A v|| >= norm / 2, reached by
+    i = 2 + ceil(log_3(||c||^2 / c_1^2)). Two events bound the ratio:
+    P(c_1^2 < pi p^2 / 2) <= p, since N(0, 1)'s density is at most
+    1 / sqrt(2 pi); and P(||c||^2 > n + 2 sqrt(n t) + 2 t) <= e^(-t) = p
+    (Laurent and Massart 2000, Lemma 1). Outside both, the ratio is at
+    most M, and their union has probability at most 2p = alpha.
+    """
+    p = alpha / 2.0
+    t = math.log(1.0 / p)
+    m = 2.0 * (n + 2.0 * math.sqrt(n * t) + 2.0 * t) / (math.pi * p * p)
+    return 2 + math.ceil(math.log(m, 3))
+
+
 def power_method_bound(op, iters, seed):
     """S = 2 x (largest Rayleigh-quotient estimate seen); norm <= S <= 2 norm
-    whp once iters ~ 10 log n. A zero operator yields the 1e-30 floor, flagged.
+    with probability at least 1 - alpha once iters >= power_iterations(n,
+    alpha). A zero operator yields the 1e-30 floor, flagged.
 
     The per-iterate estimate is ||A v|| for unit v, the square root of the
     Rayleigh quotient of A^2, which stays informative when the extreme
@@ -314,7 +344,7 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     n = op.n
     k = cfg.k
     schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-    power_iters = 0 if norm_bound is not None else max(1, math.ceil(10 * math.log(max(n, 2))))
+    power_iters = 0 if norm_bound is not None else power_iterations(n, cfg.alpha)
     stream_cost = schedule_matvec_cost(schedule) + power_iters
     budget_value = matvec_budget(n, epsilon, delta)
     floor = math.ceil(1.0 / epsilon)

@@ -217,6 +217,20 @@ def load_dataset_csv_rows(path):
     return data[:, 0] if data.shape[1] == 1 else data
 
 
+def save_distribution_csv_rows(dist, path):
+    """The distribution saver before the one-format write: a csv.writer row
+    of "%.17g" strings per atom, under the x[i],weight header."""
+    d = dist.d
+    header = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
+    header.append("weight")
+    support = dist.support if d > 1 else dist.support[:, None]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row, weight in zip(support, dist.weights):
+            writer.writerow(["%.17g" % v for v in row] + ["%.17g" % weight])
+
+
 def hutchinson_three_term(op, seed, k, schedule):
     """Chebyshev moment estimates before the product identities: each of the
     first l_j probes runs the recurrence to degree j, and m_j is the mean of

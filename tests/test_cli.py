@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import os
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import load_dataset_csv_rows
+from oracles import load_dataset_csv_rows, save_distribution_csv_rows
 
 from momentforge.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from momentforge.distributions import DiscreteDistribution, cheb_moments
@@ -142,6 +143,38 @@ class TestFileIo:
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def _saved_like_csv_writer(dist):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = os.path.join(tmp, "got.csv"), os.path.join(tmp, "expected.csv")
+            save_distribution_csv(dist, got)
+            save_distribution_csv_rows(dist, expected)
+            with open(got, "rb") as fh, open(expected, "rb") as fe:
+                return fh.read() == fe.read()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 30), st.data())
+    def test_distribution_saver_matches_csv_writer(self, d, rows, data):
+        # byte-identical to the csv.writer loop it replaced: same header,
+        # "%.17g" fields and CRLF line ends
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+        coords = data.draw(st.lists(st.one_of(special, st.floats(width=64)), min_size=rows * d, max_size=rows * d))
+        raw = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1.0)), min_size=rows, max_size=rows
+        )))
+        weights = raw / raw.sum() if raw.sum() > 0 else np.full(rows, 1.0 / rows)
+        support = np.array(coords) if d == 1 else np.array(coords).reshape(rows, d)
+        assert self._saved_like_csv_writer(DiscreteDistribution.on_real_line(support, weights))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distribution_saver_one_row_and_extremes(self, d):
+        row = np.full((1, d), -0.0)
+        one = DiscreteDistribution.on_real_line(row[:, 0] if d == 1 else row, [1.0])
+        extremes = np.array([[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308, 0.1]])[:, :d]
+        many = DiscreteDistribution.on_real_line(extremes[:, 0] if d == 1 else extremes, [1.0 - 5e-324, 5e-324])
+        assert self._saved_like_csv_writer(one)
+        assert self._saved_like_csv_writer(many)
+
     def test_matrix_market_symmetric(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text(
@@ -185,6 +218,51 @@ class TestExitCodes:
         out = tmp_path / "q.csv"
         assert main(["popmle", "--obs", str(obs), "--t", "8", "--out", str(out)]) == EXIT_IO
         assert ":3:" in capsys.readouterr().err
+
+    # np.loadtxt opens a str path through NumPy's datasource, which would
+    # take these names for a URL, a file to decompress and a fallback to a
+    # compressed sibling; the loaders read exactly the file named, as open()
+    # does, and the CLI exits as it did when every parse read a handle
+
+    @staticmethod
+    def _exit_codes(name, out):
+        return (
+            main(["popmle", "--obs", name, "--t", "8", "--out", out]),
+            main(["sde", "--matrix", name, "--eps", "0.5", "--delta", "0.1", "--out", out]),
+        )
+
+    def test_url_like_name_reads_the_local_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "obs.csv").write_text("3\n5\nfive\n")
+        name = "http://localhost/obs.csv"
+        for loader in (load_dataset_csv, load_matrix):
+            with pytest.raises(CsvFormatError) as err:
+                loader(name)
+            assert err.value.line_no == 3
+        assert self._exit_codes(name, "q.csv") == (EXIT_IO, EXIT_IO)
+        assert capsys.readouterr().err.count(f"{name}:3: non-numeric field") == 2
+
+    def test_gz_file_is_read_as_text(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("3\n5\n")
+        for loader in (load_dataset_csv, load_matrix):
+            with pytest.raises(UnicodeDecodeError):  # gzip's magic byte 0x8b is not UTF-8
+                loader(path)
+        codes = self._exit_codes(str(path), str(tmp_path / "q.csv"))
+        assert codes == (EXIT_VALIDATION, EXIT_VALIDATION)
+        assert capsys.readouterr().err.count("can't decode byte 0x8b") == 2
+
+    def test_missing_name_ignores_gz_sibling(self, tmp_path, capsys):
+        with gzip.open(tmp_path / "obs.csv.gz", "wt") as fh:
+            fh.write("3\n5\n")
+        path = tmp_path / "obs.csv"
+        for loader in (load_dataset_csv, load_matrix):
+            with pytest.raises(FileNotFoundError):
+                loader(path)
+        assert self._exit_codes(str(path), str(tmp_path / "q.csv")) == (EXIT_IO, EXIT_IO)
+        assert capsys.readouterr().err.count("No such file or directory") == 2
 
     def test_validation_error(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -387,3 +465,27 @@ class TestSeedEnvVar:
         assert code == EXIT_OK
         payload = json.loads(report.read_text())
         assert payload["manifest"]["seed"] == 99
+
+    def test_env_seed_read_on_every_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process, so the variable must be read
+        # per call; an explicit --seed still wins
+        data_path = tmp_path / "data.csv"
+        np.savetxt(data_path, np.random.default_rng(5).uniform(-1, 1, 30), fmt="%.8f")
+        report = tmp_path / "r.json"
+
+        def recorded_seed(env, *extra):
+            if env is None:
+                monkeypatch.delenv("MOMENTFORGE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MOMENTFORGE_SEED", env)
+            code = main([
+                "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
+                "--out", str(tmp_path / "q.csv"), "--report", str(report), *extra,
+            ])
+            assert code == EXIT_OK
+            return json.loads(report.read_text())["manifest"]["seed"]
+
+        assert recorded_seed("7") == 7
+        assert recorded_seed("8") == 8
+        assert recorded_seed("8", "--seed", "3") == 3
+        assert recorded_seed(None) == 0

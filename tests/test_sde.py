@@ -12,6 +12,7 @@ from momentforge.sde import (
     SdeConfig,
     estimate_spectral_density,
     hutchinson_cheb_moments,
+    power_iterations,
     power_method_bound,
     probe_schedule,
     schedule_matvec_cost,
@@ -108,6 +109,31 @@ class TestPowerMethod:
                 LinearOperator.from_dense(a), iters=10 * math.ceil(math.log(32)) + 20, seed=trial
             ).value
             assert true_norm * (1 - 1e-6) <= got <= 2 * true_norm + 1e-12
+
+    def test_iterations_formula(self):
+        # 2 + ceil(log_3 M), M = 2 (n + 2 sqrt(n t) + 2 t) / (pi p^2)
+        for n, alpha in ((2**20, 0.1 / 40), (2**20, 0.1 / 160), (4096, 0.2), (1, 0.5)):
+            p = alpha / 2
+            t = math.log(1 / p)
+            m = 2 * (n + 2 * math.sqrt(n * t) + 2 * t) / (math.pi * p * p)
+            assert power_iterations(n, alpha) == 2 + math.ceil(math.log(m) / math.log(3))
+        assert [power_iterations(2**20, 0.1 / k) for k in (40, 80, 160)] == [27, 28, 29]
+
+    @pytest.mark.parametrize("bulk", [0.45, 0.49])
+    @pytest.mark.parametrize("alpha", [0.2, 0.01])
+    def test_stated_failure_probability(self, bulk, alpha):
+        # a hard spectrum: n - 1 equal eigenvalues just under half the top
+        # one, -1, so an iterate still led by the bulk reads under norm / 2;
+        # S <= 2 norm always, and norm <= S may fail on a share alpha of the
+        # starts at most
+        n, seeds = 4096, 400
+        diag = np.full(n, bulk)
+        diag[0] = -1.0
+        op = LinearOperator.from_diagonal(diag)
+        iters = power_iterations(n, alpha)
+        values = np.array([power_method_bound(op, iters, seed).value for seed in range(seeds)])
+        assert np.all(values <= 2.0 + 1e-12)
+        assert np.count_nonzero(values < 1.0) <= alpha * seeds
 
 
 class TestSchedule:
@@ -373,12 +399,13 @@ class TestEstimatePipeline:
         n = 128
         diag = np.random.default_rng(43).uniform(-0.9, 0.9, n)
         op = LinearOperator.from_diagonal(diag)
-        cfg = SdeConfig(epsilon=0.5, delta=0.2, seed=5, probe_constant=0.13, degree_constant=8.0)
+        cfg = SdeConfig(epsilon=0.5, delta=0.2, seed=5, probe_constant=0.25, degree_constant=8.0)
         schedule = probe_schedule(n, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-        power_iters = math.ceil(10 * math.log(n))
+        power_iters = power_iterations(n, cfg.alpha)
+        assert power_iters == 16
         assert schedule.sum() + power_iters >= n > schedule[0::2].sum() + power_iters
         result = estimate_spectral_density(
-            op, epsilon=0.5, delta=0.2, seed=5, probe_constant=0.13, degree_constant=8.0
+            op, epsilon=0.5, delta=0.2, seed=5, probe_constant=0.25, degree_constant=8.0
         )
         assert result.report.path == "hutchinson"
         assert result.report.matvecs == schedule[0::2].sum() + power_iters == op.matvec_count
