@@ -160,19 +160,31 @@ def cheb_moments(p, k, convention=PLAIN):
     return MomentVector(vals, convention)
 
 
-def multi_indices(m, d):
-    """All K in {0..m}^d except the zero index, in lexicographic order."""
+def multi_index_array(m, d):
+    """All K in {0..m}^d except the zero index, in lexicographic order, as
+    the rows of an integer (k, d) array."""
     if d not in (2, 3):
         raise ValueError("tensor moments are defined for d in {2, 3}")
     grids = np.meshgrid(*([np.arange(m + 1)] * d), indexing="ij")
-    stacked = np.stack([g.ravel() for g in grids], axis=1)
-    return [tuple(int(v) for v in row) for row in stacked[1:]]
+    return np.stack([g.ravel() for g in grids], axis=1)[1:]
+
+
+def multi_indices(m, d):
+    """The rows of `multi_index_array(m, d)` as tuples of ints."""
+    return [tuple(row) for row in multi_index_array(m, d).tolist()]
 
 
 def multi_moment_normalizer(K, d):
     """sqrt(2^nnz(K) / pi^d), the orthonormal-basis scale for index K."""
     nnz = sum(1 for v in K if v != 0)
     return math.sqrt(2.0**nnz / math.pi**d)
+
+
+def multi_moment_normalizers(indices, d):
+    """`multi_moment_normalizer` of each row of an integer (k, d) index
+    array, to the same bits."""
+    nnz = np.count_nonzero(indices, axis=1)
+    return np.sqrt(2.0**nnz / math.pi**d)
 
 
 def cheb_moments_multi(p, m, convention=PLAIN):

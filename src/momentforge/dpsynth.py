@@ -29,7 +29,6 @@ from .distributions import (
     MomentVector,
     NORMALIZED,
     grid_round_indices,
-    multi_indices,
     round_to_grid,
 )
 from .recovery import KroneckerBasis, NufftBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
@@ -110,18 +109,24 @@ def gaussian_mechanism_delta(sigma, sensitivity, epsilon):
 def gaussian_noise_vector(indices, sigma2, seed):
     """Seeded Gaussian noise with per-index variances.
 
-    `indices` is either an integer k (variances j * sigma2, j = 1..k) or a
-    list of index tuples (variances ||K||_2 * sigma2). Identical seeds give
-    identical bytes; see momentforge._normal for the sampling method.
+    `indices` is either an integer k (variances j * sigma2, j = 1..k) or
+    integer multi-indices, a (k, d) array or a list of tuples (variances
+    ||K||_2 * sigma2). Identical seeds give identical bytes; see
+    momentforge._normal for the sampling method.
     """
     if sigma2 < 0:
         raise ValueError("variance must be nonnegative")
     if np.isscalar(indices):
         variances = sigma2 * np.arange(1, int(indices) + 1, dtype=float)
     else:
-        variances = sigma2 * np.array([math.sqrt(sum(v * v for v in K)) for K in indices])
+        variances = sigma2 * np.sqrt(_norms_sq(indices))
     draws = seeded_standard_normals(seed, variances.size)
     return draws * np.sqrt(variances), variances
+
+
+def _norms_sq(indices):
+    """||K||_2^2 of each integer multi-index, exact, as floats."""
+    return (np.asarray(indices, dtype=np.int64) ** 2).sum(axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -297,8 +302,6 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     )
 
     rounded = round_to_grid(points, grid)
-    rounded_dist = DiscreteDistribution.uniform_over(rounded)
-    indices = multi_indices(m, d)
     basis = KroneckerBasis(grid.axis_points, m, d)
     # accumulate the rounded data's weights on the tensor grid
     axis = grid.axis_points
@@ -309,19 +312,20 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     counts = np.bincount(flat_idx, minlength=grid.points.shape[0])
     grid_weights = counts / n
     exact = basis.apply(grid_weights)
-    noise, variances = gaussian_noise_vector(indices, sigma2, seed)
+    noise, variances = gaussian_noise_vector(basis.indices, sigma2, seed)
     noisy = NoisyMoments(
-        values=exact + noise, variances=variances, seed=seed, indices=tuple(indices)
+        values=exact + noise,
+        variances=variances,
+        seed=seed,
+        indices=tuple(map(tuple, basis.indices.tolist())),
     )
 
-    norms_sq = np.array([sum(v * v for v in K) for K in indices], dtype=float)
-    weights = 1.0 / norms_sq
-    solution = fit_simplex(basis, weights, noisy.values)
+    solution = fit_simplex(basis, 1.0 / _norms_sq(basis.indices), noisy.values)
     z, f = solution.weights, solution.objective
     dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
     report = DpSynthesisReport(
         n=n,
-        k=len(indices),
+        k=basis.k,
         r=grid.points.shape[0],
         sigma2=sigma2,
         gamma=math.sqrt(max(f, 0.0)),

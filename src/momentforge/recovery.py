@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .chebyshev import cheb_t_table, chebyshev_nodes
 from .distributions import (
@@ -31,8 +32,8 @@ from .distributions import (
     Grid,
     cheb_moments,
     moment_error_gamma,
-    multi_indices,
-    multi_moment_normalizer,
+    multi_index_array,
+    multi_moment_normalizers,
 )
 
 PRUNE_THRESHOLD = 1e-15
@@ -190,8 +191,10 @@ class NufftBasis:
     adjoint divides u by the kernel's Fourier transform, takes one inverse
     real FFT onto the fine grid of spacing 2 pi / N and gathers the _ES_WIDTH
     fine values around each theta_i; `apply` spreads z onto the fine grid
-    and takes one real FFT. The spreading indices, taken modulo N for the
-    periodic wrap at theta = 0, and their kernel weights are computed once.
+    and takes one real FFT. The gather is one sparse (size x N) CSR product
+    with _ES_WIDTH kernel weights per row, their fine-grid columns taken
+    modulo N for the periodic wrap at theta = 0, built once; the spread is
+    the product with its transpose, a CSC view of the same arrays.
     Costs O(size * _ES_WIDTH + k log k) per product.
     """
 
@@ -209,8 +212,14 @@ class NufftBasis:
         first = np.ceil(theta / step - 0.5 * _ES_WIDTH)
         fine = first[:, None] + np.arange(_ES_WIDTH)
         z = (theta[:, None] - fine * step) / half_width
-        self.spread_weights = np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
-        self.spread_index = fine.astype(np.int64) % self.n_fine
+        self.interpolation = scipy.sparse.csr_matrix(
+            (
+                np.exp(_ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0)).ravel(),
+                (fine.astype(np.int64) % self.n_fine).ravel(),
+                np.arange(0, _ES_WIDTH * self.size + 1, _ES_WIDTH),
+            ),
+            shape=(self.size, self.n_fine),
+        )
         # the kernel's Fourier transform at j = 1..k
         j = np.arange(1, k + 1)
         phases = np.outer(j, half_width * _ES_NODES)
@@ -219,18 +228,13 @@ class NufftBasis:
         self.apply_scale = step / kernel_hat
 
     def apply(self, z):
-        spread = np.bincount(
-            self.spread_index.ravel(),
-            weights=(self.spread_weights * z[:, None]).ravel(),
-            minlength=self.n_fine,
-        )
+        spread = self.interpolation.T @ z
         return scipy.fft.rfft(spread)[1 : self.k + 1].real * self.apply_scale
 
     def apply_adjoint(self, v):
         spectrum = np.zeros(self.n_fine // 2 + 1)
         spectrum[1 : self.k + 1] = v * self.adjoint_scale
-        fine = scipy.fft.irfft(spectrum, self.n_fine)
-        return np.einsum("ij,ij->i", fine[self.spread_index], self.spread_weights)
+        return self.interpolation @ scipy.fft.irfft(spectrum, self.n_fine)
 
     def column(self, i):
         return np.cos(np.arange(1, self.k + 1) * np.arccos(self.points[i]))
@@ -238,7 +242,8 @@ class NufftBasis:
 
 class KroneckerBasis:
     """The normalized tensor moments on the C-order tensor grid of
-    `axis_points` in d = 2 or 3: index K of `multi_indices(m, d)` maps z to
+    `axis_points` in d = 2 or 3: row K of `indices`, the integer (k, d)
+    array `multi_index_array(m, d)`, maps z to
     multi_moment_normalizer(K, d) sum_i z_i prod_a T_{K_a}(x_{i,a}).
 
     The box {0..m}^d minus the origin makes the map a Kronecker product of
@@ -255,7 +260,8 @@ class KroneckerBasis:
         self.shape_out = (m + 1,) * d
         self.size = self.table.shape[1] ** d
         self.k = (m + 1) ** d - 1
-        self.scale = np.array([multi_moment_normalizer(K, d) for K in multi_indices(m, d)])
+        self.indices = multi_index_array(m, d)
+        self.scale = multi_moment_normalizers(self.indices, d)
 
     def apply(self, z):
         out = z.reshape(self.shape_in)
@@ -345,6 +351,10 @@ class _BlockedQ:
             out += view @ c[start : start + view.shape[1]]
         return out
 
+    def last(self):
+        """The last column of Q (a view)."""
+        return self.blocks[-1][:, (self.count - 1) % _Q_BLOCK]
+
     def append(self, col):
         if self.count % _Q_BLOCK == 0:
             self.blocks.append(np.empty((self.rows, _Q_BLOCK), order="F"))
@@ -353,13 +363,13 @@ class _BlockedQ:
 
     def reflect_and_pop(self, h, scale):
         """Q <- Q (I - scale h h^T) on every column but the last, which is
-        then dropped; one block at a time, in place."""
+        then dropped; one column at a time, in place, so that no
+        (rows x _Q_BLOCK) temporary is made."""
         qh = scale * self.dot(h)
         last = self.count - 1
         for start, view in self._views():
-            width = min(view.shape[1], last - start)
-            if width > 0:
-                view[:, :width] -= np.outer(qh, h[start : start + width])
+            for c in range(min(view.shape[1], last - start)):
+                view[:, c] -= qh * h[start + c]
         self.count = last
         if self.count % _Q_BLOCK == 0:
             self.blocks.pop()
@@ -397,6 +407,27 @@ def _drop_column(q, w, j):
     return w[:, :-1] - np.outer(scale * (w @ h), h[:-1])
 
 
+# the carried Q W^T 1 stands in for the full product only while its
+# rounding bound is at most this fraction of the residual's largest entry
+_CARRY_LIMIT = 1e-9
+
+
+def _step_residual(q, v, lift_sum, dropped, rounding):
+    """(Q W^T 1 after a step, a bound on the rounding it has gathered),
+    given v, its value before the step's add, and v's bound. An add that
+    drops nothing leaves the old column sums of W as they were, so v gains
+    only the new column of Q times its sum, in O(rows) and in place, and
+    eps (|v| + |that sum|) of rounding. After a drop, or once the bound
+    passes _CARRY_LIMIT of the residual v[1:] (a fit whose residual has
+    cancelled to near rounding level), it is the full product, bound 0."""
+    if not dropped:
+        rounding += np.finfo(float).eps * (np.abs(v).max() + abs(lift_sum[-1]))
+        v += q.last() * lift_sum[-1]
+        if rounding <= _CARRY_LIMIT * np.abs(v[1:]).max():
+            return v, rounding
+    return q.dot(lift_sum), 0.0
+
+
 def fit_simplex(basis, weights, target, keep_trace=False):
     """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map,
     by a Lawson-Hanson active set (Lawson & Hanson, Solving Least Squares
@@ -414,9 +445,18 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     `basis.column`, are kept only as E_S W = Q with Q orthonormal: the
     affine point is proportional to W W^T 1 and its residual is
     (Q W^T 1)[1:] / sum(W W^T 1), and adding or dropping a column costs
-    O(k s). Q lives in Fortran-order blocks of 32 columns that are never
-    moved or copied, so its memory is at most (s + 32)(k + 1) doubles
-    beside the basis, and dropping a column reflects Q block by block.
+    O(k s). Q W^T 1 is carried from step to step: an add that drops nothing
+    keeps the old column sums of W, so it costs one new column of Q, O(k).
+    It is the full product after a drop, while the residual is so small
+    that the carried rounding could steer a decision (`_step_residual`),
+    and once more when the fit ends at the point it reports, so the
+    returned objective comes from it (after a step that fails to lower f,
+    the objective is that of the step before, as the fit computed it). On
+    every fit checked, the steps and the answer are those of a fit that
+    takes the full product every step. Q lives in Fortran-order blocks of 32 columns
+    that are never moved or copied, so its memory is at most (s + 32)(k + 1)
+    doubles beside the basis, and dropping a column reflects Q block by
+    block, in place.
 
     Converged when the Frank-Wolfe gap 2 (f - d_enter . r), which bounds
     the distance to the optimal objective, falls to rounding level (the
@@ -440,11 +480,12 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     q = _BlockedQ(k + 1)
     q.append(col / norm)
     w = np.array([[1.0 / norm]])
+    v, rounding = q.dot(w.sum(axis=0)), 0.0
     resid = col[1:]
     f = float(resid @ resid)
     best = (support, x)
     trace = [f] if keep_trace else None
-    converged = False
+    converged = rejected = False
     for outer in range(1, 3 * g + 1):
         u = root_w * resid
         price = basis.apply_adjoint(u) - target @ u
@@ -461,6 +502,7 @@ def fit_simplex(basis, weights, target, keep_trace=False):
             break
         w = grown
         support, x = np.append(support, enter), np.append(x, 0.0)
+        dropped = False
         while True:
             lift_sum = w.sum(axis=0)
             s = w @ lift_sum
@@ -477,16 +519,22 @@ def fit_simplex(basis, weights, target, keep_trace=False):
             for j in np.flatnonzero(x <= 0.0)[::-1]:
                 w = _drop_column(q, w, j)
             support, x = support[x > 0.0], x[x > 0.0]
+            dropped = True
         x = s
-        resid = q.dot(lift_sum)[1:] / total
+        v, rounding = _step_residual(q, v, lift_sum, dropped, rounding)
+        resid = v[1:] / total
         f_step = float(resid @ resid)
-        converged = f_step >= f
+        converged = rejected = f_step >= f
         if not converged:
             f, best = f_step, (support, x)
         if keep_trace:
             trace.append(f)
         if converged:
             break
+    if outer and not rejected:
+        # the fit ends at the point it reports: its objective from the full product
+        resid = q.dot(lift_sum)[1:] / total
+        f = float(resid @ resid)
     z = np.zeros(g)
     z[best[0]] = best[1]
     trace_arr = np.asarray(trace) if keep_trace else None

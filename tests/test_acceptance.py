@@ -203,7 +203,8 @@ def scaling_rows():
     rows = {}
     t0 = time.time()
     for name in GENERATORS:
-        rows[name] = run_dp_scaling(name, N_VALUES, 10, 0.5, BASE_SEED)
+        # two worker processes; the rows are those of jobs=1, sorted by (n, trial)
+        rows[name] = run_dp_scaling(name, N_VALUES, 10, 0.5, BASE_SEED, jobs=2)
     rows["elapsed"] = time.time() - t0
     return rows
 

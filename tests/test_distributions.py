@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,10 @@ from momentforge.distributions import (
     cheb_moments_multi,
     grid_round_indices,
     moment_error_gamma,
+    multi_index_array,
+    multi_indices,
+    multi_moment_normalizer,
+    multi_moment_normalizers,
     round_to_grid,
     w1_distance,
 )
@@ -146,6 +151,17 @@ class TestMomentsMulti:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             cheb_moments_multi(DiscreteDistribution.point_mass(0.0), 2)
+
+    @pytest.mark.parametrize("m,d", [(1, 2), (5, 2), (4, 3), (16, 3)])
+    def test_index_array_matches_tuple_loop(self, m, d):
+        # the array and its vectorized scales against the per-tuple forms
+        indices = multi_index_array(m, d)
+        ref = [K for K in itertools.product(range(m + 1), repeat=d)][1:]
+        assert indices.dtype.kind == "i" and indices.shape == ((m + 1) ** d - 1, d)
+        assert multi_indices(m, d) == ref
+        assert all(type(v) is int for K in multi_indices(m, d) for v in K)
+        scales = multi_moment_normalizers(indices, d)
+        assert scales.tolist() == [multi_moment_normalizer(K, d) for K in ref]
 
 
 class TestW1:

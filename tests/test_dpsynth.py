@@ -14,6 +14,7 @@ from momentforge.distributions import (
     Grid,
     MomentVector,
     cheb_moments,
+    multi_index_array,
     round_to_grid,
     w1_distance,
 )
@@ -86,6 +87,18 @@ class TestNoise:
     def test_multi_index_variances(self):
         _, variances = gaussian_noise_vector([(1, 0), (2, 2)], 2.0, seed=0)
         assert variances == pytest.approx([2.0, 2.0 * math.sqrt(8)])
+
+    def test_multi_index_array_matches_tuple_loop(self):
+        # an index array and its tuples give the same bytes as the
+        # per-tuple sqrt(sum of squares) loop
+        indices = multi_index_array(16, 3)
+        tuples = [tuple(K) for K in indices.tolist()]
+        sigma2 = 0.37
+        want = sigma2 * np.array([math.sqrt(sum(v * v for v in K)) for K in tuples])
+        for given_indices in (indices, tuples):
+            draws, variances = gaussian_noise_vector(given_indices, sigma2, seed=5)
+            assert variances.tobytes() == want.tobytes()
+            assert draws.tobytes() == (seeded_standard_normals(5, want.size) * np.sqrt(want)).tobytes()
 
     def test_empirical_variance_degree_four(self):
         # one million draws at index 4: chi-square concentration keeps the

@@ -208,6 +208,26 @@ class TestBases:
                 assert abs(fast.objective - dense.objective) <= 1e-15
                 assert frank_wolfe_gap(rows, weights, target, fast.weights) <= 1e-11
 
+    # points at and next to x = +-1, where theta = arccos x sits at 0 and pi
+    # and the spreading window wraps around the periodic fine grid
+    EDGE_POINTS = np.array(
+        [-1.0, np.nextafter(-1.0, 0.0), -1 + 1e-12, -1 + 1e-6, -0.9999,
+         0.9999, 1 - 1e-6, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40, 300])
+    def test_nufft_is_adjoint_and_matches_dense_at_the_wrap(self, k):
+        rng = np.random.default_rng(k)
+        points = np.concatenate([self.EDGE_POINTS, rng.uniform(-1, 1, 200)])
+        basis = NufftBasis(points, k)
+        table = cheb_t_table(k, points)[1:]
+        z, u = rng.normal(size=points.size), rng.normal(size=k)
+        bz, btu = basis.apply(z), basis.apply_adjoint(u)
+        assert abs(bz @ u - z @ btu) <= 1e-14 * np.linalg.norm(bz) * np.linalg.norm(u)
+        assert_map_matches_table(basis, table, rng, rel=1e-12)
+        dense = DenseBasis(table)
+        assert np.max(np.abs(btu - dense.apply_adjoint(u))) <= 1e-12 * np.max(np.abs(btu))
+
 
 class TestExactFit:
     @settings(max_examples=200, deadline=None)
@@ -304,6 +324,79 @@ class TestBlockedFactor:
         assert abs(fast.objective - dense.objective) <= 1e-12 * dense.objective
         assert frank_wolfe_gap(rows, weights, target, fast.weights) <= 1e-11
 
+    def test_drop_reflects_blocks_in_place(self):
+        rng = np.random.default_rng(11)
+        rows = 50
+        pool = rng.normal(size=(rows, 45))
+        q = _BlockedQ(rows)
+        q.append(pool[:, 0] / np.linalg.norm(pool[:, 0]))
+        w = np.array([[1.0 / np.linalg.norm(pool[:, 0])]])
+        for step in range(1, 45):
+            w = _add_column(q, w, pool[:, step])
+        buffers = [block.ctypes.data for block in q.blocks]
+        w = _drop_column(q, w, 3)
+        assert [block.ctypes.data for block in q.blocks] == buffers
+        dense = np.column_stack([view for _, view in q._views()])
+        cols = [c for c in range(45) if c != 3]
+        assert np.abs(pool[:, cols] @ w - dense).max() <= 1e-12
+        assert np.abs(dense.T @ dense - np.eye(44)).max() <= 1e-12
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["dense", "nufft"])
+    def test_carried_residual_matches_full_product(self, fast, monkeypatch):
+        # Q W^T 1 is carried across steps that drop nothing; after every
+        # step it must match the full product, on noisy DP-shaped fits that
+        # both add and drop columns
+        steps = []
+        carry = recovery._step_residual
+
+        def checking(q, v, lift_sum, dropped, rounding):
+            out, bound = carry(q, v, lift_sum, dropped, rounding)
+            full = q.dot(lift_sum)
+            steps.append((dropped, bound > 0.0, np.max(np.abs(out - full)) / np.max(np.abs(full))))
+            return out, bound
+
+        monkeypatch.setattr(recovery, "_step_residual", checking)
+        for seed, h in ((0, 64), (1, 40), (2, 100)):
+            rng = np.random.default_rng(seed)
+            points = Grid.uniform(h).points
+            k = 2 * h
+            rows = cheb_t_table(k, points)[1:]
+            j = np.arange(1, k + 1)
+            weights = 1.0 / (j * j)
+            target = rows @ rng.dirichlet(np.full(points.size, 0.5)) + rng.normal(0, 0.01, k) * np.sqrt(j)
+            basis = NufftBasis(points, k) if fast else DenseBasis(rows)
+            assert fit_simplex(basis, weights, target).converged
+        assert any(dropped for dropped, _, _ in steps)
+        assert sum(carried for _, carried, _ in steps) > len(steps) // 2
+        assert max(err for _, _, err in steps) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [7, 26, 33, 45, 70, 93, 110, 144])
+    def test_carried_residual_keeps_the_full_product_path(self, seed, monkeypatch):
+        # noise-free targets, whose residual cancels to rounding level (on
+        # these draws a residual carried to the end, with no guard, changed
+        # the step count or the answer's bits), and the same targets with
+        # noise, where v is carried to the end: the fit must match the one
+        # that takes the full product every step (_CARRY_LIMIT = 0), the
+        # returned objective to the bit
+        rng = np.random.default_rng(seed)
+        points = Grid.uniform(int(rng.integers(2, 60))).points
+        k = int(rng.integers(1, points.size))
+        rows = cheb_t_table(k, points)[1:]
+        weights = 1.0 / np.arange(1, k + 1) ** 2
+        atoms = int(rng.integers(1, points.size + 1))
+        z = np.zeros(points.size)
+        z[rng.choice(points.size, atoms, replace=False)] = rng.dirichlet(np.ones(atoms))
+        noisy = rows @ z + rng.normal(0, 0.01, k) * np.sqrt(np.arange(1, k + 1))
+        for basis in (DenseBasis(rows), NufftBasis(points, k)):
+            for target in (rows @ z, noisy):
+                carried = fit_simplex(basis, weights, target)
+                monkeypatch.setattr(recovery, "_CARRY_LIMIT", 0.0)
+                full = fit_simplex(basis, weights, target)
+                monkeypatch.undo()
+                assert carried.iterations == full.iterations
+                assert carried.objective == full.objective
+                assert carried.weights.tobytes() == full.weights.tobytes()
+
     def test_large_fit_memory_is_bounded(self):
         # k = 8192, 289 support columns: the blocked factor holds about
         # 21 MB; a factor that doubles its buffer peaked above 50 MB here
@@ -317,6 +410,27 @@ class TestBlockedFactor:
             tracemalloc.stop()
         assert result.report.converged
         assert peak < 32 * 2**20
+
+
+class TestDpFitIterates:
+    """The exact fit's steps on DP releases, pinned: sample_generator data
+    from seed 0, noise seed 0, epsilon = 0.5, delta = 1/n^2. A change to
+    how a step is computed must not change the path the fit takes."""
+
+    @pytest.mark.parametrize(
+        "gen,n,iterations,objective",
+        [
+            ("gaussian", 2048, 95, 0.004341043711085018),
+            ("sine", 2048, 98, 0.004515657338331654),
+            ("powerlaw", 2048, 84, 0.005851710483776578),
+            ("sine", 8192, 369, 0.0003826681176916459),
+        ],
+    )
+    def test_iterations_and_objective(self, gen, n, iterations, objective):
+        result = dp_synthesize(sample_generator(gen, n, 0), PrivacyBudget(0.5, 1.0 / n**2), 0)
+        assert result.report.converged
+        assert result.report.iterations == iterations
+        assert abs(result.report.objective - objective) <= 1e-12 * objective
 
 
 class TestWeightedQp:
