@@ -136,15 +136,15 @@ class NoisyMoments:
     values: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
     seed: int = None
-    indices: tuple = None  # multi-index release only
+    # multi-index release only: the moments' integer (k, d) multi-index array
+    indices: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        var = np.asarray(self.variances, dtype=float).copy()
-        vals.setflags(write=False)
-        var.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "variances", var)
+        for name, dtype in (("values", float), ("variances", float), ("indices", np.int64)):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=dtype)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def k(self):
@@ -317,7 +317,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
         values=exact + noise,
         variances=variances,
         seed=seed,
-        indices=tuple(map(tuple, basis.indices.tolist())),
+        indices=basis.indices,
     )
 
     solution = fit_simplex(basis, 1.0 / _norms_sq(basis.indices), noisy.values)

@@ -78,16 +78,15 @@ def _run_one(args):
     )
 
 
-def delta_for(n, rule="1/n^2"):
-    if rule == "1/n^2":
-        return 1.0 / (n * n)
-    return float(rule)
+def delta_for(n):
+    """delta = 1/n^2, the privacy parameter of the scaling study at size n."""
+    return 1.0 / (n * n)
 
 
-def run_dp_scaling(name, n_values, trials, epsilon, seed, delta_rule="1/n^2", jobs=1):
+def run_dp_scaling(name, n_values, trials, epsilon, seed, jobs=1):
     """All (n, trial) runs for one generator, ordered by (n, trial)."""
     tasks = [
-        (name, int(n), trial, epsilon, delta_for(int(n), delta_rule), seed)
+        (name, int(n), trial, epsilon, delta_for(int(n)), seed)
         for n in sorted(n_values)
         for trial in range(trials)
     ]

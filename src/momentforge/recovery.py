@@ -9,10 +9,10 @@ needs a dense table. The feasibility fit is one `fit_simplex` call with
 residuals scaled by their tolerances, followed by a check of the boxes.
 
 The moment maps ("bases") share one protocol, stated on `DenseBasis`, and
-all work in double precision: an explicit table (`DenseBasis`), a DCT on
-Chebyshev-node grids (`_DctBasis`), a NUFFT on arbitrary 1-D points
-(`NufftBasis`) and a Kronecker product of per-axis tables on tensor grids
-(`KroneckerBasis`). The fast ones never materialize a dense table.
+all work in double precision: an explicit table (`DenseBasis`), a NUFFT on
+arbitrary 1-D points (`NufftBasis`, which every 1-D fit uses) and a
+Kronecker product of per-axis tables on tensor grids (`KroneckerBasis`).
+The fast ones never materialize a dense table.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .chebyshev import cheb_t_table, chebyshev_nodes
+from .chebyshev import cheb_t_table
 from .distributions import (
-    CHEBYSHEV_NODES,
     PLAIN,
     DiscreteDistribution,
     Grid,
@@ -140,32 +139,6 @@ class DenseBasis:
 
     def column(self, i):
         return self.rows[:, i]
-
-
-class _DctBasis:
-    """The same map on the full degree-g Chebyshev node set, via DCT-II.
-
-    With nodes x_i = cos((2i-1)pi/(2g)) in descending order,
-    (B z)_j = dct(z, type=2)[j] / 2 and the adjoint is the matching DCT-III.
-    """
-
-    def __init__(self, g, k):
-        if k >= g:
-            raise ValueError("DCT basis requires k < g")
-        self.size = g
-        self.k = k
-        self.nodes = chebyshev_nodes(g)
-
-    def apply(self, z):
-        return scipy.fft.dct(z, type=2)[1 : self.k + 1] / 2.0
-
-    def apply_adjoint(self, v):
-        full = np.zeros(self.size)
-        full[1 : self.k + 1] = v
-        return scipy.fft.dct(full, type=3) / 2.0
-
-    def column(self, i):
-        return np.cos(np.arange(1, self.k + 1) * np.arccos(self.nodes[i]))
 
 
 # The NUFFT spreading kernel: the "exponential of semicircle"
@@ -282,12 +255,6 @@ class KroneckerBasis:
         for axis_index in np.unravel_index(i, self.shape_in):
             col = np.multiply.outer(col, self.table[:, axis_index]).ravel()
         return col[1:] * self.scale
-
-
-def _make_basis(grid, k):
-    if grid.kind == CHEBYSHEV_NODES and k < grid.size and grid.size >= 64:
-        return _DctBasis(grid.size, k)
-    return DenseBasis(cheb_t_table(k, grid.points)[1:])
 
 
 def power_step_bound(basis, weights, iters=50, headroom=1.1):
@@ -547,7 +514,7 @@ def solve_weighted_qp(moments, cfg, basis=None):
     if m_plain.k != cfg.k:
         raise ValueError("moment degree does not match the configuration")
     if basis is None:
-        basis = _make_basis(cfg.grid, cfg.k)
+        basis = NufftBasis(cfg.grid.points, cfg.k)
     j = np.arange(1, cfg.k + 1)
     return fit_simplex(basis, 1.0 / (j * j), m_plain.values, keep_trace=cfg.keep_trace)
 
@@ -581,7 +548,7 @@ def recover_distribution(moments, k=None, cfg=None):
     )
 
 
-def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None):
+def solve_moment_lp(moments, per_moment_tol, cfg=None):
     """Find simplex weights whose moments fall in [m_j - tol_j, m_j + tol_j].
 
     One exact `fit_simplex` of the moments with each residual scaled by its
@@ -597,8 +564,7 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None, basis=None):
         raise ValueError("tolerances must be positive")
     if cfg is None:
         cfg = RecoveryConfig(k=k, g=lp_grid_size(k))
-    if basis is None:
-        basis = _make_basis(cfg.grid, k)
+    basis = NufftBasis(cfg.grid.points, k)
     fit = fit_simplex(basis, 1.0 / tols**2, m_plain.values)
     excess = np.abs(basis.apply(fit.weights) - m_plain.values) - tols
     max_violation = max(float(np.max(excess)), 0.0)

@@ -360,6 +360,16 @@ class TestPipelineMulti:
         with pytest.raises(ValueError):
             dp_synthesize_multi(np.zeros((10, 4)), budget, seed=0)
 
+    def test_release_indices_are_a_read_only_array(self):
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        data = np.random.default_rng(11).uniform(-1, 1, (24, 3))
+        noisy = dp_synthesize_multi(data, budget, seed=4).noisy_moments
+        m = math.ceil(2 * (budget.epsilon * 24) ** (1 / 3))
+        assert noisy.indices.dtype == np.int64
+        assert np.array_equal(noisy.indices, multi_index_array(m, 3))
+        assert noisy.indices.shape == (noisy.k, 3)
+        assert not noisy.indices.flags.writeable
+
     def test_noise_variance_schedule(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         rng = np.random.default_rng(10)

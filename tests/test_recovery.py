@@ -27,7 +27,6 @@ from momentforge.recovery import (
     KroneckerBasis,
     NufftBasis,
     _BlockedQ,
-    _DctBasis,
     _add_column,
     _drop_column,
     default_grid_size,
@@ -136,11 +135,11 @@ class TestSimplexProjection:
 
 
 class TestBases:
-    @pytest.mark.parametrize("g,k", [(64, 12), (129, 40), (200, 199)])
-    def test_dct_matches_dense(self, g, k):
+    @pytest.mark.parametrize("g,k", [(8, 1), (23, 8), (64, 12), (129, 40), (200, 199)])
+    def test_nufft_matches_dense_on_chebyshev_nodes(self, g, k):
         grid = Grid.chebyshev(g)
         dense = DenseBasis(cheb_t_table(k, grid.points)[1:])
-        fast = _DctBasis(g, k)
+        fast = NufftBasis(grid.points, k)
         rng = np.random.default_rng(3)
         z = rng.dirichlet(np.ones(g))
         v = rng.normal(size=k)
@@ -151,10 +150,10 @@ class TestBases:
         "make,points",
         [
             (lambda k, x: DenseBasis(cheb_t_table(k, x)[1:]), Grid.uniform(20).points),
-            (lambda k, x: _DctBasis(x.size, k), Grid.chebyshev(200).points),
+            (lambda k, x: NufftBasis(x, k), Grid.chebyshev(200).points),
             (lambda k, x: NufftBasis(x, k), Grid.uniform(100).points),
         ],
-        ids=["dense", "dct", "nufft"],
+        ids=["dense", "nufft-nodes", "nufft"],
     )
     def test_column_is_float64_table_column(self, make, points):
         k = 40
@@ -192,10 +191,12 @@ class TestBases:
         # the NUFFT basis prices with rounding of its own; the fit must
         # still reach the dense table's optimum, on targets that are the
         # moments of a random distribution over the grid, with and without
-        # noise, for every degree up to the DP pipeline's k = 2h
-        for seed in range(100):
+        # noise, for every degree up to the DP pipeline's k = 2h, on uniform
+        # grids and on Chebyshev-node grids of as many points
+        grids = (Grid.uniform, lambda h: Grid.chebyshev(2 * h + 1))
+        for seed, make_grid in itertools.product(range(100), grids):
             rng = np.random.default_rng(seed)
-            points = Grid.uniform(int(rng.integers(1, 30))).points
+            points = make_grid(int(rng.integers(1, 30))).points
             k = int(rng.integers(1, points.size))
             rows = cheb_t_table(k, points)[1:]
             j = np.arange(1, k + 1)
