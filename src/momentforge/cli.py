@@ -148,7 +148,7 @@ def _cmd_sde(args):
 
 
 def _cmd_popmle(args):
-    observations = np.asarray(load_dataset_csv(args.obs))
+    observations = np.asarray(load_dataset_csv(args.obs, dtype=np.int64))
     if observations.ndim != 1:
         raise ValueError("observations file must hold a single column")
     fp = fingerprint(observations, args.t)

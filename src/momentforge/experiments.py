@@ -90,8 +90,10 @@ def run_dp_scaling(name, n_values, trials, epsilon, seed, jobs=1):
         for n in sorted(n_values)
         for trial in range(trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forking pool starts all its workers up front, so no more than tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:
         rows = [_run_one(t) for t in tasks]

@@ -7,6 +7,12 @@ rejected. Lines holding only blanks and commas are skipped. Errors carry
 the 1-based line number, counting header and skipped lines. The first
 parse hands the reader the file's path, so that it reads the file in
 chunks rather than line by line in Python.
+
+`load_dataset_csv(path, dtype=np.int64)` reads integer data, such as head
+counts, without a float round trip: the first parse asks the reader for
+int64. A file it rejects (a `3.0` or `1e2` field, a value past int64, a
+blank-and-comma line) is read as float64 exactly as without `dtype`, so
+it loads the same values and a bad file names the same line.
 """
 
 from __future__ import annotations
@@ -35,10 +41,13 @@ def _has_fields(line):
     return bool(line.replace(",", "").strip())
 
 
-def _parse(lines, skip=0):
+def _parse(lines, skip=0, dtype=np.float64):
     with warnings.catch_warnings():  # no rows is reported by the callers
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+        # NumPy 1.x reads "3.0" into an integer dtype with a DeprecationWarning;
+        # as an error it fails that parse, as it does in NumPy 2
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skip, dtype=dtype)
 
 
 # np.loadtxt opens a str path through np.lib._datasource, which fetches URLs
@@ -63,22 +72,28 @@ def _after(fh, skip):
     return fh
 
 
-def _numeric_rows(path, skip=0, width=None):
-    """The rows after line `skip` as a 2-D float64 array, each of `width`
-    fields (default: the first row's). The parser first reads the file
-    itself, from its path where that names the same plain file, and skips
-    empty lines; only if that fails are the lines re-read through a filter
-    that also drops blank-and-comma-only lines, none held past its parse.
-    Bad rows and no rows raise CsvFormatError."""
+def _numeric_rows(path, skip=0, width=None, dtype=np.float64):
+    """The rows after line `skip` as a 2-D array, each of `width` fields
+    (default: the first row's). The parser first reads the file itself,
+    from its path where that names the same plain file, and skips empty
+    lines: as `dtype`, then, if that fails and `dtype` is not float64, as
+    float64. Only if both fail are the lines re-read as float64 through a
+    filter that also drops blank-and-comma-only lines, none held past its
+    parse. Bad rows and no rows raise CsvFormatError."""
     with open(path) as fh:  # a missing or unreadable file fails here, as before
         name = _plain_name(path, fh)
-        try:
-            rows = _parse(name, skip) if name else _parse(_after(fh, skip))
-        except ValueError:
+        rows = None
+        for as_dtype in [dtype] if np.dtype(dtype) == np.float64 else [dtype, np.float64]:
+            try:
+                rows = _parse(name, skip, as_dtype) if name else _parse(_after(fh, skip), dtype=as_dtype)
+                break
+            except ValueError:
+                pass
+        else:
             try:
                 rows = _parse(line for line in _after(fh, skip) if _has_fields(line))
             except ValueError:
-                rows = None
+                pass
     if rows is not None and rows.size and width in (None, rows.shape[1]):
         return rows
     _raise_bad_row(path, skip, width)
@@ -140,9 +155,13 @@ def load_distribution_csv(path):
     return DiscreteDistribution(support, weights / total)
 
 
-def load_dataset_csv(path):
+def load_dataset_csv(path, dtype=np.float64):
     """Rows of one value per dimension, all of one width; a 1-D array for
-    one column. Line 1 is a header, and skipped, when it does not parse."""
+    one column. Line 1 is a header, and skipped, when it does not parse as
+    float64. With an integer `dtype` the rows are first parsed as that
+    type; a file that does not parse so (a `3.0` or `1e2` field, a value
+    out of range, a line of blanks and commas) is read as float64, with the
+    values and the errors it has without `dtype`."""
     with open(path) as fh:
         first = fh.readline()
     try:
@@ -150,7 +169,7 @@ def load_dataset_csv(path):
         skip = 0
     except ValueError:
         skip = 1
-    data = _numeric_rows(path, skip=skip)
+    data = _numeric_rows(path, skip=skip, dtype=dtype)
     return data[:, 0] if data.shape[1] == 1 else data
 
 

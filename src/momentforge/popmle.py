@@ -47,16 +47,18 @@ class Fingerprint:
 
 
 def fingerprint(observations, t):
-    """Exact head-count histogram of integer observations in [0, t]."""
+    """Exact head-count histogram of integer observations in [0, t].
+
+    Integer arrays are counted as they are; float arrays must hold whole
+    numbers, and both checks run on the values before any cast."""
     obs = np.asarray(observations)
     if obs.size == 0:
         raise ValueError("no observations")
-    if np.any(obs != np.floor(obs)):
+    if not np.issubdtype(obs.dtype, np.integer) and np.any(obs != np.floor(obs)):
         raise ValueError("observations must be integers")
-    obs = obs.astype(np.int64)
     if obs.min() < 0 or obs.max() > t:
         raise ValueError("observation outside [0, t]")
-    return Fingerprint(t=t, counts=np.bincount(obs, minlength=t + 1))
+    return Fingerprint(t=t, counts=np.bincount(obs.astype(np.int64, copy=False), minlength=t + 1))
 
 
 def _log_binomial_pmf_table(t, grid):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gzip
 import json
 import os
@@ -23,6 +24,36 @@ from momentforge.fileio import (
     save_moments_csv,
     sha256_file,
 )
+
+
+load_counts_csv = functools.partial(load_dataset_csv, dtype=np.int64)
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+# integer forms the int64 parse reads, and forms only the float64 parse reads
+_PLAIN_FORMS = {
+    "plain": str,
+    "signed": lambda v: ("+" if v >= 0 else "") + str(v),
+    "zeros": lambda v: ("-" if v < 0 else "") + "00" + str(abs(v)),
+    "padded": lambda v: f" {v}\t",
+}
+_FLOAT_FORMS = {
+    "point": lambda v: f"{v}.0",
+    "exponent": lambda v: f"{v}e0",
+}
+
+
+# bad dataset files, each read as float64 and as int64 counts
+DATASET_BAD_ROWS = [
+    ("value\n0.5\n\n , ,\n0.25\nabc\n", 6, "non-numeric field"),
+    ("x,y\n1,2\n\n3,4\n5\n", 5, "wrong number of fields"),
+    ("1\n1_000\n", 2, "non-numeric field"),
+    ("", 1, "no data rows"),
+    ("value\n\n", 2, "no data rows"),
+    ("3\n5\nfive\n", 3, "non-numeric field"),
+    ("3\n3.0\n\n , ,\n4,5\n", 5, "wrong number of fields"),
+    ("x\n9223372036854775808\nnan\n1e2\n0x10\n", 5, "non-numeric field"),
+]
 
 
 @pytest.fixture()
@@ -88,14 +119,10 @@ class TestFileIo:
 
     @pytest.mark.parametrize(
         "loader,text,line_no,message",
-        [
-            (load_dataset_csv, "value\n0.5\n\n , ,\n0.25\nabc\n", 6, "non-numeric field"),
-            (load_dataset_csv, "x,y\n1,2\n\n3,4\n5\n", 5, "wrong number of fields"),
-            (load_dataset_csv, "1\n1_000\n", 2, "non-numeric field"),
+        [(loader, *case) for loader in (load_dataset_csv, load_counts_csv) for case in DATASET_BAD_ROWS]
+        + [
             (load_moments_csv, "j,m\n1,0.5\n\n2,oops\n", 4, "non-numeric field"),
             (load_matrix, "1.0,0.5\n\n0.5,x\n", 3, "non-numeric field"),
-            (load_dataset_csv, "", 1, "no data rows"),
-            (load_dataset_csv, "value\n\n", 2, "no data rows"),
             (load_moments_csv, "j,m\n", 2, "no data rows"),
         ],
     )
@@ -142,6 +169,62 @@ class TestFileIo:
         assert got.dtype == np.float64
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-1000, 1000),
+                    st.integers(-(2**70), 2**70),
+                    st.sampled_from([INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, -INT64_MAX - 2]),
+                ),
+                st.sampled_from(sorted(_PLAIN_FORMS) * 4 + sorted(_FLOAT_FORMS)),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 100), st.sampled_from(["", "  ", ",", " , ,", "\t"])), max_size=3),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_counts_match_row_reader(self, cols, fields, header, blanks, eol, trailing):
+        # int64 exactly when every field is a plain integer in range and no
+        # line after line 1 (skipped as a header when it does not parse)
+        # holds only blanks and commas, with the same values as the csv +
+        # float() reader; otherwise its float64 array bit for bit, or the
+        # same error line
+        rows = [fields[i : i + cols] for i in range(0, len(fields) - cols + 1, cols)] or [fields[:1] * cols]
+        lines = [",".join({**_PLAIN_FORMS, **_FLOAT_FORMS}[form](v) for v, form in row) for row in rows]
+        if header:
+            lines.insert(0, ",".join(["count"] * cols))
+        for at, blank in blanks:
+            lines.insert(at % (len(lines) + 1), blank)
+        text = eol.join(lines) + (eol if trailing else "")
+        plain = all(form in _PLAIN_FORMS and -INT64_MAX - 1 <= v <= INT64_MAX for row in rows for v, form in row)
+        plain = plain and all(line == "" or line.replace(",", "").strip() for line in lines[1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            try:
+                expected = load_dataset_csv_rows(path)
+            except CsvFormatError as exc:
+                with pytest.raises(CsvFormatError) as err:
+                    load_counts_csv(path)
+                assert err.value.line_no == exc.line_no
+                return
+            got = load_counts_csv(path)
+        assert got.shape == expected.shape
+        if plain:
+            assert got.dtype == np.int64
+            assert got.ravel().tolist() == [v for row in rows for v, _ in row]
+            assert np.array_equal(got, expected)
+        else:
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
 
     @staticmethod
     def _saved_like_csv_writer(dist):
@@ -408,6 +491,33 @@ class TestPopmleCommand:
         trace = payload["log_likelihood_trace"]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    @staticmethod
+    def _popmle(obs_path, out, report):
+        return main(["popmle", "--obs", str(obs_path), "--t", "8", "--grid", "101",
+                     "--out", str(out), "--report", str(report)])
+
+    def test_integer_and_float_counts_give_the_same_fit(self, tmp_path):
+        # same file names in two directories, so the manifests differ only
+        # in the input digest
+        obs = np.random.default_rng(5).binomial(8, 0.3, 500)
+        outputs = []
+        for fmt in ("%d", "%.1f"):
+            run = tmp_path / fmt.strip("%.")
+            run.mkdir()
+            np.savetxt(run / "obs.csv", obs, fmt=fmt)
+            assert self._popmle(run / "obs.csv", run / "q.csv", run / "r.json") == EXIT_OK
+            outputs.append(((run / "q.csv").read_bytes(), json.loads((run / "r.json").read_text())))
+        (int_dist, int_report), (float_dist, float_report) = outputs
+        assert int_dist == float_dist
+        assert int_report["manifest"].pop("inputs") != float_report["manifest"].pop("inputs")
+        assert int_report == float_report
+
+    @pytest.mark.parametrize("text", ["3,4\n5,6\n", "3\n4.5\n"])
+    def test_two_columns_and_fractions_are_validation_errors(self, tmp_path, text):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(text)
+        assert self._popmle(obs, tmp_path / "q.csv", tmp_path / "r.json") == EXIT_VALIDATION
+
 
 class TestExperimentCommand:
     def test_row_counts_and_columns(self, tmp_path):
@@ -435,6 +545,35 @@ class TestExperimentCommand:
         assert main(base + ["--out", str(serial)]) == EXIT_OK
         assert main(base + ["--out", str(parallel), "--jobs", "2"]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_jobs_capped_at_task_count(self, tmp_path, monkeypatch):
+        # a forking pool starts all its workers at once; a fake one records
+        # how many were asked for and runs the tasks in this process
+        import momentforge.experiments
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(momentforge.experiments, "ProcessPoolExecutor", SerialPool)
+        serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+        base = ["experiment-dp", "--dist", "sine", "--nmin", "32", "--nmax", "32", "--seed", "4"]
+        assert main(base + ["--trials", "3", "--out", str(serial)]) == EXIT_OK
+        assert main(base + ["--trials", "3", "--out", str(capped), "--jobs", "64"]) == EXIT_OK
+        assert main(base + ["--trials", "1", "--out", str(tmp_path / "one.csv"), "--jobs", "64"]) == EXIT_OK
+        assert asked == [3]
+        assert serial.read_bytes() == capped.read_bytes()
 
 
 class TestVerifyCommand:

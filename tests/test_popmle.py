@@ -50,6 +50,32 @@ class TestFingerprint:
         with pytest.raises(ValueError):
             fingerprint([0, 7], t=5)
 
+    def test_integer_and_whole_float_observations_agree(self):
+        obs = np.random.default_rng(4).integers(0, 9, 300)
+        counts = fingerprint(obs, t=8).counts
+        assert np.array_equal(fingerprint(obs.astype(float), t=8).counts, counts)
+        assert np.array_equal(fingerprint(obs.astype(np.uint8), t=8).counts, counts)
+
+    # the range check reads the values, so no float reaches an int64 cast
+    # that NumPy would warn about
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "obs,message",
+        [
+            ([0.0, 1e30], "outside"),
+            ([0.0, np.inf], "outside"),
+            ([0.0, -1e30], "outside"),
+            ([0.0, -np.inf], "outside"),
+            ([0.0, np.nan], "integers"),
+            ([0.0, 2.5], "integers"),
+            (np.array([0, 6]), "outside"),
+            (np.array([-1, 2]), "outside"),
+        ],
+    )
+    def test_rejections_raise_no_warning(self, obs, message):
+        with pytest.raises(ValueError, match=message):
+            fingerprint(np.asarray(obs), t=5)
+
 
 class TestEm:
     def test_all_heads_single_toss(self):
