@@ -18,9 +18,6 @@ import numpy as np
 
 DOMAIN_SLACK = 1e-12
 
-UNNORMALIZED = "unnormalized"
-NORMALIZED = "normalized"
-
 
 def _clamped(x):
     arr = np.asarray(x, dtype=float)
@@ -125,9 +122,6 @@ class JacksonDamping:
         return self.damping.size - 1
 
 
-_kernel_cache: dict = {}
-
-
 def jackson_damping(k):
     """Damping factors for a degree-k truncated series.
 
@@ -137,31 +131,21 @@ def jackson_damping(k):
     if k < 1:
         raise ValueError("degree must be positive")
     m = (k + 3) // 2
-    coeffs = _kernel_cache.get(m)
-    if coeffs is None:
-        coeffs = jackson_kernel_coeffs(m)
-        _kernel_cache[m] = coeffs
+    coeffs = jackson_kernel_coeffs(m)
     damping = np.array([coeffs[j] / coeffs[0] for j in range(k + 1)])
     return JacksonDamping(m=m, kernel_coeffs=coeffs, damping=damping)
 
 
 @dataclass(frozen=True)
 class ChebCoefficients:
-    """A finite coefficient vector c_0..c_k with its basis convention.
-
-    `unnormalized` means f = sum c_j T_j; `normalized` uses the orthonormal
-    basis (T_0 / sqrt(pi), T_j / sqrt(pi/2) for j >= 1).
-    """
+    """A finite coefficient vector c_0..c_k of f = sum c_j T_j."""
 
     values: np.ndarray = field(repr=False)
-    convention: str = UNNORMALIZED
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients must be finite")
-        if self.convention not in (UNNORMALIZED, NORMALIZED):
-            raise ValueError("unknown convention %r" % (self.convention,))
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -170,26 +154,12 @@ class ChebCoefficients:
     def degree(self):
         return self.values.size - 1
 
-    def to_normalized(self):
-        if self.convention == NORMALIZED:
-            return self
-        scale = np.full(self.values.size, math.sqrt(math.pi / 2.0))
-        scale[0] = math.sqrt(math.pi)
-        return ChebCoefficients(self.values * scale, NORMALIZED)
-
-    def to_unnormalized(self):
-        if self.convention == UNNORMALIZED:
-            return self
-        scale = np.full(self.values.size, math.sqrt(math.pi / 2.0))
-        scale[0] = math.sqrt(math.pi)
-        return ChebCoefficients(self.values / scale, UNNORMALIZED)
-
 
 def cheb_interpolation_coeffs(f, degree):
     """Coefficients of the degree-`degree` interpolant at Chebyshev nodes.
 
-    Discrete cosine sums at the degree+1 nodes; returns unnormalized
-    coefficients. Direct O(degree^2) evaluation.
+    Discrete cosine sums at the degree+1 nodes. Direct O(degree^2)
+    evaluation.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -207,22 +177,21 @@ def cheb_interpolation_coeffs(f, degree):
     cos_table = np.cos(np.outer(np.arange(n), thetas))
     coeffs = (2.0 / n) * cos_table @ fv
     coeffs[0] /= 2.0
-    return ChebCoefficients(coeffs, UNNORMALIZED)
+    return ChebCoefficients(coeffs)
 
 
 def coefficient_decay_functional(coeffs):
-    """sum_{j>=1} (j c_j)^2 for normalized coefficients.
+    """(pi/2) sum_{j>=1} (j c_j)^2, the sum of (j a_j)^2 over the
+    coefficients a_j = sqrt(pi/2) c_j of the orthonormal basis.
 
     For a smooth function with Lipschitz constant L this is at most
     (pi/2) L^2, with equality for f(x) = x.
     """
-    if coeffs.convention != NORMALIZED:
-        raise ValueError("decay functional expects normalized coefficients")
     vals = coeffs.values
     if vals.size <= 1:
         return 0.0
     j = np.arange(1, vals.size)
-    return float(np.sum((j * vals[1:]) ** 2))
+    return float(math.pi / 2.0 * np.sum((j * vals[1:]) ** 2))
 
 
 def jackson_damped_coeffs(f, k, oversample=4):
@@ -233,4 +202,4 @@ def jackson_damped_coeffs(f, k, oversample=4):
     """
     interp = cheb_interpolation_coeffs(f, oversample * k)
     damped = interp.values[: k + 1] * jackson_damping(k).damping
-    return ChebCoefficients(damped, UNNORMALIZED)
+    return ChebCoefficients(damped)

@@ -90,10 +90,9 @@ def _manifest(subcommand, args):
 
 def _cmd_recover(args):
     moments = load_moments_csv(args.moments)
-    k = args.k if args.k is not None else moments.k
-    if k != moments.k:
+    if args.k is not None and args.k != moments.k:
         raise ValueError("requested degree does not match the moments file")
-    result = recover_distribution(moments, k=k)
+    result = recover_distribution(moments)
     save_distribution_csv(result.distribution, args.out)
     if args.report:
         payload = {
@@ -207,8 +206,7 @@ _VERIFY_SUITES = ("decay", "jackson", "orthogonality")
 
 
 def _verify_decay(out):
-    coeffs = cheb_interpolation_coeffs(lambda x: x, 64).to_normalized()
-    value = coefficient_decay_functional(coeffs)
+    value = coefficient_decay_functional(cheb_interpolation_coeffs(lambda x: x, 64))
     target = math.pi / 2.0
     ok = abs(value - target) <= 1e-8
     out(f"decay: functional for the identity map = {value:.12f}, pi/2 = {target:.12f} "

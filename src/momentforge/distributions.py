@@ -17,9 +17,6 @@ from .chebyshev import DOMAIN_SLACK, cheb_t_table, chebyshev_nodes
 
 WEIGHT_SUM_TOL = 1e-9
 
-PLAIN = "plain"
-NORMALIZED = "normalized"
-
 # Constants in the W1 bound 36/k + gamma; the 2*pi variant is the optimistic
 # value reported alongside but never asserted.
 W1_RATE_CONSTANT = 36.0
@@ -113,10 +110,10 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Chebyshev moments m_1..m_k under a tagged convention."""
+    """Plain Chebyshev moments m_j = sum_i w_i T_j(x_i): m_1..m_k in 1-D,
+    or the tensor moments in `multi_index_array` order."""
 
     values: np.ndarray = field(repr=False)
-    convention: str = PLAIN
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -124,8 +121,6 @@ class MomentVector:
             raise ValueError("moment values must form a nonempty vector")
         if not np.all(np.isfinite(vals)):
             raise ValueError("moments must be finite")
-        if self.convention not in (PLAIN, NORMALIZED):
-            raise ValueError("unknown convention %r" % (self.convention,))
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -134,30 +129,15 @@ class MomentVector:
     def k(self):
         return self.values.size
 
-    def to_plain(self):
-        if self.convention == PLAIN:
-            return self
-        return MomentVector(self.values * math.sqrt(math.pi / 2.0), PLAIN)
 
-    def to_normalized(self):
-        if self.convention == NORMALIZED:
-            return self
-        return MomentVector(self.values * math.sqrt(2.0 / math.pi), NORMALIZED)
-
-
-def cheb_moments(p, k, convention=PLAIN):
+def cheb_moments(p, k):
     """First k Chebyshev moments sum_i w_i T_j(x_i), j = 1..k (1-D only)."""
     if p.d != 1:
         raise ValueError("use cheb_moments_multi for d > 1")
     if k < 1:
         raise ValueError("need at least one moment")
     table = cheb_t_table(k, p.support)
-    vals = table[1:] @ p.weights
-    if convention == NORMALIZED:
-        vals = vals * math.sqrt(2.0 / math.pi)
-    elif convention != PLAIN:
-        raise ValueError("unknown convention %r" % (convention,))
-    return MomentVector(vals, convention)
+    return MomentVector(table[1:] @ p.weights)
 
 
 def multi_index_array(m, d):
@@ -169,42 +149,30 @@ def multi_index_array(m, d):
     return np.stack([g.ravel() for g in grids], axis=1)[1:]
 
 
-def multi_indices(m, d):
-    """The rows of `multi_index_array(m, d)` as tuples of ints."""
-    return [tuple(row) for row in multi_index_array(m, d).tolist()]
-
-
-def multi_moment_normalizer(K, d):
-    """sqrt(2^nnz(K) / pi^d), the orthonormal-basis scale for index K."""
-    nnz = sum(1 for v in K if v != 0)
-    return math.sqrt(2.0**nnz / math.pi**d)
-
-
 def multi_moment_normalizers(indices, d):
-    """`multi_moment_normalizer` of each row of an integer (k, d) index
-    array, to the same bits."""
+    """sqrt(2^nnz(K) / pi^d), the orthonormal-basis scale, for each row K
+    of an integer (k, d) index array."""
     nnz = np.count_nonzero(indices, axis=1)
     return np.sqrt(2.0**nnz / math.pi**d)
 
 
-def cheb_moments_multi(p, m, convention=PLAIN):
-    """Tensor moments for K in {0..m}^d \\ {0} as an index -> value map."""
+def cheb_moments_multi(p, m):
+    """Plain tensor moments sum_i w_i prod_a T_{K_a}(x_{i,a}) for the rows
+    K of `multi_index_array(m, d)`, in that order (d in {2, 3}).
+
+    One contraction of the weights with the per-axis Chebyshev tables
+    gives the moments for all of {0..m}^d in C order; the zero index is
+    its first entry and is dropped.
+    """
     if p.d == 1:
         raise ValueError("use cheb_moments for d = 1")
-    d = p.d
-    tables = [cheb_t_table(m, p.support[:, axis]) for axis in range(d)]
-    out = {}
-    for K in multi_indices(m, d):
-        prod = tables[0][K[0]]
-        for axis in range(1, d):
-            prod = prod * tables[axis][K[axis]]
-        val = float(prod @ p.weights)
-        if convention == NORMALIZED:
-            val *= multi_moment_normalizer(K, d)
-        elif convention != PLAIN:
-            raise ValueError("unknown convention %r" % (convention,))
-        out[K] = val
-    return out
+    if p.d > 3:
+        raise ValueError("tensor moments are defined for d in {2, 3}")
+    tables = [cheb_t_table(m, p.support[:, axis]) for axis in range(p.d)]
+    axes = "abc"[: p.d]
+    spec = ",".join(a + "i" for a in axes) + ",i->" + axes
+    full = np.einsum(spec, *tables, p.weights, optimize=True)
+    return MomentVector(full.ravel()[1:])
 
 
 def w1_distance(p, q):
@@ -231,8 +199,6 @@ class MomentErrorReport:
 
 def moment_error_gamma(mp, mq):
     """gamma = sqrt(sum_j (m_p,j - m_q,j)^2 / j^2) plus the 36/k + gamma bound."""
-    if mp.convention != PLAIN or mq.convention != PLAIN:
-        raise ValueError("moment error is defined on plain-convention moments")
     if mp.k != mq.k:
         raise ValueError("moment vectors must share the same degree")
     j = np.arange(1, mp.k + 1)

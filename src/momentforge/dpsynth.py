@@ -10,8 +10,15 @@ each built once per release for both the exact moments and the fit.
 Everything after the noise draw is a pure function of the noisy moments
 and public parameters, so a run can be replayed without the raw data.
 
-Data outside [-1,1] is clamped (and counted); clamping is itself
-data-dependent, which is a privacy caveat for production use.
+The release (`NoisyMoments`) is the library's only object that holds
+normalized moments, sqrt(2/pi) times the plain ones (tensor index K:
+`multi_moment_normalizers`); every other moment and coefficient is plain.
+The 1-D fit rescales the release to plain moments by sqrt(pi/2).
+
+The mechanism treats the dataset size n as public: the noise variance
+sigma^2 depends on n (as 1/n^2), so a release reveals n. Data outside
+[-1,1] is clamped (and counted); clamping is itself data-dependent, which
+is a privacy caveat for production use.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .distributions import (
     DiscreteDistribution,
     Grid,
     MomentVector,
-    NORMALIZED,
     grid_round_indices,
     round_to_grid,
 )
@@ -131,7 +137,8 @@ def _norms_sq(indices):
 
 @dataclass(frozen=True)
 class NoisyMoments:
-    """The released object: noisy normalized moments plus their schedule."""
+    """The released object: noisy normalized moments plus their schedule,
+    the one normalized-moment type of the library."""
 
     values: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
@@ -216,7 +223,7 @@ def synthesize_from_noisy_moments(noisy, grid):
 
 def _fit_grid(noisy, grid, basis):
     # basis is NufftBasis(grid.points, noisy.k): built from public parameters only
-    plain = MomentVector(noisy.values, NORMALIZED).to_plain()
+    plain = MomentVector(noisy.values * math.sqrt(math.pi / 2.0))
     cfg = RecoveryConfig(k=noisy.k, grid=grid)
     solution = solve_weighted_qp(plain, cfg, basis=basis)
     weights = solution.weights / solution.weights.sum()

@@ -9,7 +9,10 @@ given their derived seeds, so they can run in parallel; output order is by
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,17 +86,45 @@ def delta_for(n):
     return 1.0 / (n * n)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_children():
+    """Set every BLAS thread count to 1 in the environment that processes
+    started inside the block inherit; restore it on exit. The BLAS already
+    loaded in this process keeps its own thread count."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
 def run_dp_scaling(name, n_values, trials, epsilon, seed, jobs=1):
-    """All (n, trial) runs for one generator, ordered by (n, trial)."""
+    """All (n, trial) runs for one generator, ordered by (n, trial).
+
+    With jobs > 1 the runs go to at most `jobs` worker processes, each a
+    fresh interpreter ("spawn") that reads a BLAS thread count of 1 before
+    it imports NumPy, so the workers do not contend for the cores with
+    BLAS threads of their own. Each worker imports the caller's main
+    module, so a script that calls this with jobs > 1 needs the
+    `if __name__ == "__main__"` guard.
+    """
     tasks = [
         (name, int(n), trial, epsilon, delta_for(int(n)), seed)
         for n in sorted(n_values)
         for trial in range(trials)
     ]
-    # a forking pool starts all its workers up front, so no more than tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_children(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:
         rows = [_run_one(t) for t in tasks]

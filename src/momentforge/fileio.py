@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, MomentVector, PLAIN
+from .distributions import DiscreteDistribution, MomentVector
 
 
 class CsvFormatError(ValueError):
@@ -182,15 +182,15 @@ def save_moments_csv(moments, path):
 
 
 def load_moments_csv(path):
-    """Header j,m, then rows j,m with integer indices 1..k in order; plain
-    convention."""
+    """Header j,m, then rows j,m with integer indices 1..k in order; the
+    values are plain moments."""
     header = _header(path)
     if header != ["j", "m"]:
         raise CsvFormatError(path, 1, f"unexpected header {header!r}")
     rows = _numeric_rows(path, skip=1, width=2)
     if not np.array_equal(rows[:, 0], np.arange(1, rows.shape[0] + 1)):
         raise ValueError(f"{path}: moment indices must be the integers 1..k in order")
-    return MomentVector(rows[:, 1], PLAIN)
+    return MomentVector(rows[:, 1])
 
 
 def load_matrix(path):

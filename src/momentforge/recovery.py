@@ -26,7 +26,6 @@ import scipy.sparse
 
 from .chebyshev import cheb_t_table
 from .distributions import (
-    PLAIN,
     DiscreteDistribution,
     Grid,
     cheb_moments,
@@ -50,13 +49,11 @@ def lp_grid_size(k):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Fit parameters: degree k, grid (its size g defaults from k) and
-    whether the least-squares fit keeps its objective trace."""
+    """Fit parameters: degree k and grid (its size g defaults from k)."""
 
     k: int
     g: int = None
     grid: Grid = None
-    keep_trace: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -79,7 +76,7 @@ class QPSolution:
     objective: float
     iterations: int
     converged: bool
-    trace: np.ndarray = None
+    trace: np.ndarray
 
 
 @dataclass
@@ -217,7 +214,8 @@ class KroneckerBasis:
     """The normalized tensor moments on the C-order tensor grid of
     `axis_points` in d = 2 or 3: row K of `indices`, the integer (k, d)
     array `multi_index_array(m, d)`, maps z to
-    multi_moment_normalizer(K, d) sum_i z_i prod_a T_{K_a}(x_{i,a}).
+    sqrt(2^nnz(K) / pi^d) sum_i z_i prod_a T_{K_a}(x_{i,a}), the scale
+    being K's entry of `multi_moment_normalizers`.
 
     The box {0..m}^d minus the origin makes the map a Kronecker product of
     one (m+1) x len(axis_points) Chebyshev table per axis, so `apply`
@@ -395,7 +393,7 @@ def _step_residual(q, v, lift_sum, dropped, rounding):
     return q.dot(lift_sum), 0.0
 
 
-def fit_simplex(basis, weights, target, keep_trace=False):
+def fit_simplex(basis, weights, target):
     """min sum_j w_j ((B z)_j - m_j)^2 over the simplex, B the basis's map,
     by a Lawson-Hanson active set (Lawson & Hanson, Solving Least Squares
     Problems, 1974) in Wolfe's minimum-norm-point form (Math. Programming
@@ -432,6 +430,7 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     already lies in the span of the support's, or when a step fails to lower f, which
     Wolfe's step does whenever the gap is positive unless f is at rounding
     level. At most 3 g outer steps; stopping there is not converged.
+    `trace` holds the objective at the start and after each outer step.
     """
     k, g = basis.k, basis.size
     root_w = np.sqrt(weights)
@@ -451,7 +450,7 @@ def fit_simplex(basis, weights, target, keep_trace=False):
     resid = col[1:]
     f = float(resid @ resid)
     best = (support, x)
-    trace = [f] if keep_trace else None
+    trace = [f]
     converged = rejected = False
     for outer in range(1, 3 * g + 1):
         u = root_w * resid
@@ -494,8 +493,7 @@ def fit_simplex(basis, weights, target, keep_trace=False):
         converged = rejected = f_step >= f
         if not converged:
             f, best = f_step, (support, x)
-        if keep_trace:
-            trace.append(f)
+        trace.append(f)
         if converged:
             break
     if outer and not rejected:
@@ -504,37 +502,34 @@ def fit_simplex(basis, weights, target, keep_trace=False):
         f = float(resid @ resid)
     z = np.zeros(g)
     z[best[0]] = best[1]
-    trace_arr = np.asarray(trace) if keep_trace else None
-    return QPSolution(weights=z, objective=f, iterations=outer, converged=converged, trace=trace_arr)
+    return QPSolution(
+        weights=z, objective=f, iterations=outer, converged=converged, trace=np.asarray(trace)
+    )
 
 
 def solve_weighted_qp(moments, cfg, basis=None):
     """Minimize sum_j (m_j - sum_i z_i T_j(x_i))^2 / j^2 over the simplex."""
-    m_plain = moments.to_plain()
-    if m_plain.k != cfg.k:
+    if moments.k != cfg.k:
         raise ValueError("moment degree does not match the configuration")
     if basis is None:
         basis = NufftBasis(cfg.grid.points, cfg.k)
     j = np.arange(1, cfg.k + 1)
-    return fit_simplex(basis, 1.0 / (j * j), m_plain.values, keep_trace=cfg.keep_trace)
+    return fit_simplex(basis, 1.0 / (j * j), moments.values)
 
 
-def recover_distribution(moments, k=None, cfg=None):
+def recover_distribution(moments, cfg=None):
     """Full moment-regression recovery on a Chebyshev-node grid.
 
     Fits the weighted residual over the simplex, prunes negligible weights
     and reports the a-posteriori moment error of the result against the
     input moments. Solver non-convergence is flagged, not fatal.
     """
-    m_plain = moments.to_plain()
-    if k is None:
-        k = m_plain.k
     if cfg is None:
-        cfg = RecoveryConfig(k=k)
-    solution = solve_weighted_qp(m_plain, cfg)
+        cfg = RecoveryConfig(k=moments.k)
+    solution = solve_weighted_qp(moments, cfg)
     dist = _distribution_from_weights(cfg.grid, solution.weights)
-    achieved = cheb_moments(dist, cfg.k, PLAIN)
-    report = moment_error_gamma(m_plain, achieved)
+    achieved = cheb_moments(dist, cfg.k)
+    report = moment_error_gamma(moments, achieved)
     return RecoveryResult(
         distribution=dist,
         k=cfg.k,
@@ -557,16 +552,15 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None):
     on its image. A largest box excess above 1e-9 marks the problem
     infeasible-at-tolerance. `iterations` counts the fit's outer steps.
     """
-    m_plain = moments.to_plain()
-    k = m_plain.k
+    k = moments.k
     tols = np.broadcast_to(np.asarray(per_moment_tol, dtype=float), (k,))
     if np.any(tols <= 0):
         raise ValueError("tolerances must be positive")
     if cfg is None:
         cfg = RecoveryConfig(k=k, g=lp_grid_size(k))
     basis = NufftBasis(cfg.grid.points, k)
-    fit = fit_simplex(basis, 1.0 / tols**2, m_plain.values)
-    excess = np.abs(basis.apply(fit.weights) - m_plain.values) - tols
+    fit = fit_simplex(basis, 1.0 / tols**2, moments.values)
+    excess = np.abs(basis.apply(fit.weights) - moments.values) - tols
     max_violation = max(float(np.max(excess)), 0.0)
     return LPSolution(
         weights=fit.weights,

@@ -23,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import seeded_rademacher
-from .distributions import (
-    DiscreteDistribution,
-    MomentVector,
-    PLAIN,
-)
+from .distributions import DiscreteDistribution, MomentVector
 from .recovery import RecoveryConfig, lp_grid_size, solve_moment_lp
 
 
@@ -275,7 +271,7 @@ def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
             square = np.einsum("ij,ij->", head, head)
             estimates[2 * d - 1] = (2.0 * square - gg[even - 1]) / (even * n)
     used = op.matvec_count - start_count
-    return MomentVector(estimates, PLAIN), used, schedule
+    return MomentVector(estimates), used, schedule
 
 
 @dataclass

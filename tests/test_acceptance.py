@@ -76,7 +76,7 @@ def report(criterion, ok, detail, elapsed, budget):
 
 def test_criterion_1_decay_functional():
     t0 = time.time()
-    identity = cheb_interpolation_coeffs(lambda x: x, 64).to_normalized()
+    identity = cheb_interpolation_coeffs(lambda x: x, 64)
     value = coefficient_decay_functional(identity)
     equality_ok = abs(value - math.pi / 2) <= 1e-8
 
@@ -90,7 +90,7 @@ def test_criterion_1_decay_functional():
     bound_ok = True
     worst = 0.0
     for fn in smooth:
-        coeffs = cheb_interpolation_coeffs(fn, 128).to_normalized()
+        coeffs = cheb_interpolation_coeffs(fn, 128)
         functional = coefficient_decay_functional(coeffs)
         worst = max(worst, functional)
         bound_ok = bound_ok and functional <= math.pi / 2 + 1e-3

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from oracles import MultiIndex, cheb_t_multi, cheb_u
 
 from momentforge.chebyshev import (
-    ChebCoefficients,
-    NORMALIZED,
     cheb_interpolation_coeffs,
     cheb_series_eval,
     cheb_t,
@@ -196,15 +194,15 @@ class TestInterpolation:
 
 class TestDecayFunctional:
     def test_identity_map_hits_half_pi(self):
-        coeffs = cheb_interpolation_coeffs(lambda x: x, 64).to_normalized()
+        coeffs = cheb_interpolation_coeffs(lambda x: x, 64)
         assert coefficient_decay_functional(coeffs) == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_constant_is_zero(self):
         coeffs = cheb_interpolation_coeffs(lambda x: 0.7 * np.ones_like(x), 16)
-        assert coefficient_decay_functional(coeffs.to_normalized()) == pytest.approx(0.0, abs=1e-20)
+        assert coefficient_decay_functional(coeffs) == pytest.approx(0.0, abs=1e-20)
 
     def test_kink_stays_under_limit(self):
-        coeffs = cheb_interpolation_coeffs(lambda x: np.abs(x - 0.3), 200).to_normalized()
+        coeffs = cheb_interpolation_coeffs(lambda x: np.abs(x - 0.3), 200)
         assert coefficient_decay_functional(coeffs) <= math.pi / 2 + 1e-3
 
     def test_smooth_lipschitz_families(self):
@@ -216,18 +214,8 @@ class TestDecayFunctional:
             lambda x: 0.5 * np.cos(2 * x),
         ]
         for fn in functions:
-            coeffs = cheb_interpolation_coeffs(fn, 128).to_normalized()
+            coeffs = cheb_interpolation_coeffs(fn, 128)
             assert coefficient_decay_functional(coeffs) <= math.pi / 2 + 1e-3
-
-    def test_requires_normalized(self):
-        coeffs = cheb_interpolation_coeffs(lambda x: x, 8)
-        with pytest.raises(ValueError):
-            coefficient_decay_functional(coeffs)
-
-    def test_convention_round_trip(self):
-        coeffs = cheb_interpolation_coeffs(lambda x: np.sin(3 * x), 20)
-        back = coeffs.to_normalized().to_unnormalized()
-        assert back.values == pytest.approx(coeffs.values, abs=1e-15)
 
 
 class TestDampedSeries:

@@ -547,14 +547,14 @@ class TestExperimentCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_jobs_capped_at_task_count(self, tmp_path, monkeypatch):
-        # a forking pool starts all its workers at once; a fake one records
+        # a pool may start all its workers at once; a fake one records
         # how many were asked for and runs the tasks in this process
         import momentforge.experiments
 
         asked = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 asked.append(max_workers)
 
             def __enter__(self):

@@ -7,26 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import arccos_round
+from oracles import arccos_round, cheb_t_multi
 
 from momentforge.chebyshev import cheb_t
 from momentforge.distributions import (
     DiscreteDistribution,
     Grid,
     MomentVector,
-    NORMALIZED,
-    PLAIN,
     cheb_moments,
     cheb_moments_multi,
     grid_round_indices,
     moment_error_gamma,
     multi_index_array,
-    multi_indices,
-    multi_moment_normalizer,
     multi_moment_normalizers,
     round_to_grid,
     w1_distance,
 )
+from momentforge.recovery import KroneckerBasis
 
 
 def transport_lp_w1(p, q):
@@ -105,13 +102,6 @@ class TestMoments:
             direct = sum(w * cheb_t(j, x) for x, w in zip(p.support, p.weights))
             assert moments.values[j - 1] == pytest.approx(direct, abs=1e-12)
 
-    def test_normalized_scaling(self):
-        p = DiscreteDistribution.point_mass(0.3)
-        plain = cheb_moments(p, 4, PLAIN)
-        norm = cheb_moments(p, 4, NORMALIZED)
-        assert norm.values == pytest.approx(plain.values * math.sqrt(2 / math.pi))
-        assert norm.to_plain().values == pytest.approx(plain.values)
-
     def test_plain_moments_bounded(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -124,44 +114,67 @@ class TestMoments:
             cheb_moments(p, 3)
 
 
+def tensor_moment(moments, K, m):
+    """The entry of index K in `cheb_moments_multi(p, m)`: its row of
+    `multi_index_array(m, len(K))`, the C-order position less one."""
+    return moments.values[np.ravel_multi_index(K, (m + 1,) * len(K)) - 1]
+
+
 class TestMomentsMulti:
     def test_point_mass_at_corner(self):
         p = DiscreteDistribution(np.array([[1.0, 1.0]]), np.array([1.0]))
         moments = cheb_moments_multi(p, 2)
-        assert moments[(2, 2)] == pytest.approx(1.0)
+        assert tensor_moment(moments, (2, 2), 2) == pytest.approx(1.0)
 
     def test_symmetry_cancels(self):
         p = DiscreteDistribution(np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
         moments = cheb_moments_multi(p, 2)
-        assert moments[(1, 0)] == pytest.approx(0.0, abs=1e-15)
+        assert tensor_moment(moments, (1, 0), 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_componentwise_hand_values(self):
         p = DiscreteDistribution(np.array([[0.5, 0.0]]), np.array([1.0]))
         moments = cheb_moments_multi(p, 2)
         # T_1(0.5) * T_2(0) = 0.5 * (-1)
-        assert moments[(1, 2)] == pytest.approx(-0.5)
-
-    def test_normalized_scale(self):
-        p = DiscreteDistribution(np.array([[0.5, -0.25]]), np.array([1.0]))
-        plain = cheb_moments_multi(p, 2, PLAIN)
-        norm = cheb_moments_multi(p, 2, NORMALIZED)
-        scale = math.sqrt(2**2 / math.pi**2)
-        assert norm[(1, 2)] == pytest.approx(plain[(1, 2)] * scale)
+        assert tensor_moment(moments, (1, 2), 2) == pytest.approx(-0.5)
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             cheb_moments_multi(DiscreteDistribution.point_mass(0.0), 2)
 
+    @pytest.mark.parametrize("d,h", [(2, 3), (2, 8), (3, 2), (3, 4)])
+    def test_matches_kronecker_apply(self, d, h):
+        # on a tensor grid the plain moments are the Kronecker map's
+        # normalized moments of the grid weights, unscaled
+        grid = Grid.tensor_uniform(h, d)
+        m = 2 * h
+        weights = np.random.default_rng(10 * d + h).dirichlet(np.ones(grid.size))
+        moments = cheb_moments_multi(DiscreteDistribution(grid.points, weights), m)
+        basis = KroneckerBasis(grid.axis_points, m, d)
+        expected = basis.apply(weights) / multi_moment_normalizers(basis.indices, d)
+        assert np.max(np.abs(moments.values - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("m,d", [(3, 2), (2, 3)])
+    def test_matches_pointwise_loop(self, m, d):
+        # off-grid points, each index of multi_index_array against the sum
+        # of pointwise tensor products, the loop the contraction replaced
+        rng = np.random.default_rng(m + d)
+        p = DiscreteDistribution(rng.uniform(-1, 1, (5, d)), rng.dirichlet(np.ones(5)))
+        ref = [
+            sum(w * cheb_t_multi(K, x) for x, w in zip(p.support, p.weights))
+            for K in multi_index_array(m, d)
+        ]
+        assert np.max(np.abs(cheb_moments_multi(p, m).values - ref)) <= 1e-14
+
     @pytest.mark.parametrize("m,d", [(1, 2), (5, 2), (4, 3), (16, 3)])
     def test_index_array_matches_tuple_loop(self, m, d):
-        # the array and its vectorized scales against the per-tuple forms
+        # the array and its vectorized scales against a loop over tuples
         indices = multi_index_array(m, d)
         ref = [K for K in itertools.product(range(m + 1), repeat=d)][1:]
         assert indices.dtype.kind == "i" and indices.shape == ((m + 1) ** d - 1, d)
-        assert multi_indices(m, d) == ref
-        assert all(type(v) is int for K in multi_indices(m, d) for v in K)
+        assert [tuple(row) for row in indices.tolist()] == ref
         scales = multi_moment_normalizers(indices, d)
-        assert scales.tolist() == [multi_moment_normalizer(K, d) for K in ref]
+        nnz = [sum(1 for v in K if v != 0) for K in ref]
+        assert scales.tolist() == [math.sqrt(2.0**c / math.pi**d) for c in nnz]
 
 
 class TestW1:
@@ -215,12 +228,6 @@ class TestMomentErrorGamma:
         b = MomentVector(np.full(3, 0.3))
         expected = 0.3 * math.sqrt(1 + 0.25 + 1 / 9)
         assert moment_error_gamma(a, b).gamma == pytest.approx(expected)
-
-    def test_convention_mismatch_rejected(self):
-        a = MomentVector(np.array([0.5]))
-        b = MomentVector(np.array([0.5]), NORMALIZED)
-        with pytest.raises(ValueError):
-            moment_error_gamma(a, b)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 64), st.floats(1e-6, 0.5))

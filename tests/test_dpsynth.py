@@ -9,10 +9,8 @@ from scipy.stats import norm as scipy_norm
 from momentforge._normal import seeded_standard_normals
 from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import (
-    NORMALIZED,
     DiscreteDistribution,
     Grid,
-    MomentVector,
     cheb_moments,
     multi_index_array,
     round_to_grid,
@@ -38,7 +36,7 @@ def scaled_moment_release(data, k):
     """The vector whose sensitivity the bound controls: entries
     j^{-1/2} * mean of normalized T_j over the dataset."""
     p = DiscreteDistribution.uniform_over(np.asarray(data, dtype=float))
-    normalized = cheb_moments(p, k, convention="normalized").values
+    normalized = cheb_moments(p, k).values * math.sqrt(2.0 / math.pi)
     return normalized / np.sqrt(np.arange(1, k + 1))
 
 
@@ -287,7 +285,7 @@ class TestPipeline1D:
         z = np.zeros(r)
         z[np.searchsorted(grid.points, result.distribution.support)] = result.distribution.weights
         rows = cheb_t_table(k, grid.points)[1:]
-        target = MomentVector(result.noisy_moments.values, NORMALIZED).to_plain().values
+        target = result.noisy_moments.values * math.sqrt(math.pi / 2.0)
         weights = 1.0 / np.arange(1, k + 1) ** 2
         grad = 2.0 * rows.T @ (weights * (rows @ z - target))
         assert grad @ z - grad.min() <= 1e-12
@@ -299,7 +297,7 @@ class TestPipeline1D:
         sigma2 = budget.sigma2(20, 20)
         grid = Grid.uniform(10)
         p = DiscreteDistribution.uniform_over(round_to_grid(data, grid))
-        exact = cheb_moments(p, 20, convention="normalized").values
+        exact = cheb_moments(p, 20).values * math.sqrt(2.0 / math.pi)
         draws = []
         for seed in range(4000):
             result = dp_synthesize(data, budget, seed=seed)

@@ -254,5 +254,5 @@ class TestShiftedDecay:
         ]
         for fn in functions:
             pulled = lambda x: fn((x + 1) / 2)
-            coeffs = cheb_interpolation_coeffs(pulled, 200).to_normalized()
+            coeffs = cheb_interpolation_coeffs(pulled, 200)
             assert coefficient_decay_functional(coeffs) <= 2 * math.pi

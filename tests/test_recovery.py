@@ -14,8 +14,8 @@ from momentforge.distributions import (
     MomentVector,
     cheb_moments,
     moment_error_gamma,
-    multi_indices,
-    multi_moment_normalizer,
+    multi_index_array,
+    multi_moment_normalizers,
     w1_distance,
 )
 from momentforge import recovery
@@ -178,12 +178,9 @@ class TestBases:
         grid = Grid.tensor_uniform(h, d)
         m = 2 * h
         axis_tables = [cheb_t_table(m, grid.points[:, axis]) for axis in range(d)]
-        table = np.array(
-            [
-                multi_moment_normalizer(K, d) * np.prod([axis_tables[a][K[a]] for a in range(d)], 0)
-                for K in multi_indices(m, d)
-            ]
-        )
+        indices = multi_index_array(m, d)
+        rows = np.prod([axis_tables[a][indices[:, a]] for a in range(d)], axis=0)
+        table = multi_moment_normalizers(indices, d)[:, None] * rows
         basis = KroneckerBasis(grid.axis_points, m, d)
         assert_map_matches_table(basis, table, np.random.default_rng(10 * d + h))
 
@@ -468,9 +465,8 @@ class TestWeightedQp:
         rng = np.random.default_rng(5)
         moments = cheb_moments(random_distribution(rng, 5), 12)
         noisy = MomentVector(moments.values + rng.normal(0, 0.02, 12))
-        cfg = RecoveryConfig(k=12, keep_trace=True)
-        solution = solve_weighted_qp(noisy, cfg)
-        assert solution.trace is not None
+        solution = solve_weighted_qp(noisy, RecoveryConfig(k=12))
+        assert solution.trace.size == solution.iterations + 1
         assert np.all(np.diff(solution.trace) <= 1e-15)
 
 
