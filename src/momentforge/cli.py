@@ -4,7 +4,14 @@ Exit codes: 0 success, 1 usage, 2 I/O or malformed input file, 3 validation,
 4 solver-not-converged. Every JSON report embeds the run manifest (resolved
 parameters, seed, input digests, tool version); identical manifests produce
 byte-identical outputs. The MOMENTFORGE_SEED environment variable supplies
-a default seed.
+a default seed, else it is 0.
+
+The dp-synth report has two parts. `release` holds only what the noisy
+moments and public parameters determine, so it can be published with the
+synthetic distribution. `diagnostics` holds the private rest: the clamp
+count, `w1_vs_input` and the manifest, whose seed is the noise's secret
+key and whose digest is the data file's. An unseeded dp-synth run draws its
+seed from `secrets` rather than using 0, and records it there.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import csv
 import functools
 import math
 import os
+import secrets
 import sys
 from dataclasses import asdict
 
@@ -61,9 +69,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed():
+def _default_seed(subcommand):
     env = os.environ.get("MOMENTFORGE_SEED")
-    return int(env) if env else 0
+    if env:
+        return int(env)
+    # a public default key would let anyone subtract the release's noise
+    return secrets.randbits(63) if subcommand == "dp-synth" else 0
 
 
 _INPUT_ARGS = ("moments", "data", "matrix", "obs", "truth")
@@ -121,14 +132,15 @@ def _cmd_dp_synth(args):
         result = dp_synthesize_multi(data, budget, args.seed)
     save_distribution_csv(result.distribution, args.out)
     if args.report:
-        payload = asdict(result.report)
+        release = asdict(result.report)
+        diagnostics = {"clamped": release.pop("clamped")}
         if args.evaluate and args.dim == 1:
             clipped = np.clip(np.asarray(data, dtype=float), -1.0, 1.0)
-            payload["w1_vs_input"] = w1_distance(
+            diagnostics["w1_vs_input"] = w1_distance(
                 DiscreteDistribution.uniform_over(clipped), result.distribution
             )
-        payload["manifest"] = _manifest("dp-synth", args)
-        write_json_report(payload, args.report)
+        diagnostics["manifest"] = _manifest("dp-synth", args)
+        write_json_report({"release": release, "diagnostics": diagnostics}, args.report)
     return EXIT_OK if result.report.converged else EXIT_SOLVER
 
 
@@ -261,7 +273,7 @@ def _cmd_verify(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process. `--seed` defaults to
-    None; `main` fills in MOMENTFORGE_SEED on each call."""
+    None; `main` fills in `_default_seed` on each call."""
     parser = _Parser(prog="momentforge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -322,14 +334,13 @@ def build_parser():
 
 
 def main(argv=None):
-    default_seed = _default_seed()  # per call: the cached parser holds no seed
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "seed", 0) is None:
-        args.seed = default_seed
+        args.seed = _default_seed(args.subcommand)  # per call: the cached parser holds no seed
     try:
         return args.func(args)
     except CsvFormatError as exc:

@@ -7,8 +7,11 @@ variant does the same over a tensor grid and tensor moments. Both apply the
 moment map in double precision without a dense table: the 1-D grid through
 `recovery.NufftBasis`, the tensor grid through `recovery.KroneckerBasis`,
 each built once per release for both the exact moments and the fit.
-Everything after the noise draw is a pure function of the noisy moments
-and public parameters, so a run can be replayed without the raw data.
+Everything after the noise draw is `synthesize_from_noisy_moments`, the one
+fit of both pipelines: a pure function of the noisy moments and public
+parameters, so a 1-D or tensor run can be replayed without the raw data.
+The mechanism's seed is a secret key, not part of the release: with it and
+the public parameters anyone can subtract the noise.
 
 The release (`NoisyMoments`) is the library's only object that holds
 normalized moments, sqrt(2/pi) times the plain ones (tensor index K:
@@ -17,8 +20,9 @@ The 1-D fit rescales the release to plain moments by sqrt(pi/2).
 
 The mechanism treats the dataset size n as public: the noise variance
 sigma^2 depends on n (as 1/n^2), so a release reveals n. Data outside
-[-1,1] is clamped (and counted); clamping is itself data-dependent, which
-is a privacy caveat for production use.
+[-1,1] is clamped and counted; the count (`DpSynthesisReport.clamped`) is
+data-dependent and not privatized, so it is a private diagnostic, not part
+of the release.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from scipy.special import ndtr
 
 from ._normal import seeded_standard_normals
 from .distributions import (
+    TENSOR_UNIFORM,
     DiscreteDistribution,
     Grid,
     MomentVector,
     grid_round_indices,
+    multi_index_array,
     round_to_grid,
 )
 from .recovery import KroneckerBasis, NufftBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
@@ -142,7 +148,6 @@ class NoisyMoments:
 
     values: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
-    seed: int = None
     # multi-index release only: the moments' integer (k, d) multi-index array
     indices: np.ndarray = field(default=None, repr=False)
 
@@ -197,7 +202,6 @@ class DpSynthesisReport:
     d: int = 1
     norm_sum: float = None
     rounding_bound: float = None
-    w1_vs_input: float = None
 
 
 @dataclass
@@ -216,29 +220,52 @@ def _clamp_data(data):
 
 
 def synthesize_from_noisy_moments(noisy, grid):
-    """Post-processing half of the pipeline: fit the grid distribution to the
-    released noisy moments. Pure in (noisy moments, public parameters)."""
-    return _fit_grid(noisy, grid, NufftBasis(grid.points, noisy.k))
+    """Post-processing half of both pipelines: fit the grid distribution to
+    the released noisy moments. Pure in (noisy moments, public parameters).
+
+    A 1-D release (`indices` None) fits on `grid`, the uniform grid of its
+    pipeline. A tensor release must carry `multi_index_array(m, d)` as its
+    indices and come with the pipeline's tensor grid,
+    `Grid.tensor_uniform(ceil(m / 2), d)`; anything else is a ValueError.
+    Returns the distribution and the fit's `QPSolution`.
+    """
+    if noisy.indices is None:
+        return _fit_grid(noisy, grid, NufftBasis(grid.points, noisy.k))
+    m, d = int(noisy.indices.max()), noisy.indices.shape[1]
+    if not np.array_equal(noisy.indices, multi_index_array(m, d)):
+        raise ValueError("tensor release indices must be multi_index_array(m, d)")
+    half_steps = math.ceil(m / 2)
+    if grid.kind != TENSOR_UNIFORM or not np.array_equal(
+        grid.points, Grid.tensor_uniform(half_steps, d).points
+    ):
+        raise ValueError(f"a degree-{m} tensor release needs Grid.tensor_uniform({half_steps}, {d})")
+    return _fit_grid(noisy, grid, KroneckerBasis(grid.axis_points, m, d))
 
 
 def _fit_grid(noisy, grid, basis):
-    # basis is NufftBasis(grid.points, noisy.k): built from public parameters only
-    plain = MomentVector(noisy.values * math.sqrt(math.pi / 2.0))
-    cfg = RecoveryConfig(k=noisy.k, grid=grid)
-    solution = solve_weighted_qp(plain, cfg, basis=basis)
+    # basis is the release's moment map on `grid`, built from public
+    # parameters only: NufftBasis(grid.points, k) for a 1-D release, which
+    # fits the plain moments sqrt(pi/2) * values with weights 1/j^2, and
+    # KroneckerBasis for a tensor release, which fits the values with
+    # weights 1/||K||^2
+    if noisy.indices is None:
+        plain = MomentVector(noisy.values * math.sqrt(math.pi / 2.0))
+        solution = solve_weighted_qp(plain, RecoveryConfig(k=noisy.k, grid=grid), basis=basis)
+    else:
+        solution = fit_simplex(basis, 1.0 / _norms_sq(noisy.indices), noisy.values)
     weights = solution.weights / solution.weights.sum()
     dist = DiscreteDistribution(grid.points, weights).pruned()
     return dist, solution
 
 
-def dp_synthesize(data, budget, seed, sigma2_override=None):
+def dp_synthesize(data, budget, seed):
     """The 1-D private synthesis pipeline.
 
     Grid spacing 1/ceil(eps n), k = ceil(2 eps n) noisy normalized moments
     with variances j sigma^2, then the exact 1/j^2-weighted moment
-    regression over the same grid (`recovery.fit_simplex`); the report's
-    `converged` is the fit's own certificate. `sigma2_override` exists for
-    tests that need the noiseless path.
+    regression over the same grid (`synthesize_from_noisy_moments`); the
+    report's `converged` is the fit's own certificate. `seed` keys the
+    noise: it must stay secret, and the release does not carry it.
     """
     values, clamped = _clamp_data(data)
     if values.ndim != 1:
@@ -252,7 +279,7 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     half_steps = math.ceil(en)
     grid = Grid.uniform(half_steps)
     k = math.ceil(2.0 * en)
-    sigma2 = budget.sigma2(n, k) if sigma2_override is None else float(sigma2_override)
+    sigma2 = budget.sigma2(n, k)
 
     idx = grid_round_indices(values, grid)
     counts = np.bincount(idx, minlength=grid.size)
@@ -261,7 +288,7 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     exact_plain = basis.apply(rounded_weights)
     exact_norm = exact_plain * math.sqrt(2.0 / math.pi)
     noise, variances = gaussian_noise_vector(k, sigma2, seed)
-    noisy = NoisyMoments(values=exact_norm + noise, variances=variances, seed=seed)
+    noisy = NoisyMoments(values=exact_norm + noise, variances=variances)
 
     dist, solution = _fit_grid(noisy, grid, basis)
     report = DpSynthesisReport(
@@ -281,15 +308,16 @@ def dp_synthesize(data, budget, seed, sigma2_override=None):
     return DpSynthesisResult(distribution=dist, noisy_moments=noisy, report=report)
 
 
-def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
+def dp_synthesize_multi(data, budget, seed):
     """The d in {2,3} tensor pipeline.
 
     Per-coordinate spacing 1/ceil((eps n)^{1/d}), degrees up to
     m = ceil(2 (eps n)^{1/d}), per-index noise variance ||K||_2 sigma^2 with
     sigma^2 built from the exact norm sum, and the exact
     1/||K||_2^2-weighted fit of the normalized tensor moments over the
-    tensor grid (`recovery.fit_simplex` on the Kronecker map); the report's
-    `converged` is the fit's own certificate.
+    tensor grid (`synthesize_from_noisy_moments`); the report's `converged`
+    is the fit's own certificate. `seed` keys the noise as in
+    `dp_synthesize`.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
@@ -304,9 +332,7 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     m = math.ceil(2.0 * root)
     grid = Grid.tensor_uniform(half_steps, d)
     s = norm_inverse_sum(m, d)
-    sigma2 = (
-        budget.sigma2_multi(n, m, d) if sigma2_override is None else float(sigma2_override)
-    )
+    sigma2 = budget.sigma2_multi(n, m, d)
 
     rounded = round_to_grid(points, grid)
     basis = KroneckerBasis(grid.axis_points, m, d)
@@ -320,26 +346,19 @@ def dp_synthesize_multi(data, budget, seed, sigma2_override=None):
     grid_weights = counts / n
     exact = basis.apply(grid_weights)
     noise, variances = gaussian_noise_vector(basis.indices, sigma2, seed)
-    noisy = NoisyMoments(
-        values=exact + noise,
-        variances=variances,
-        seed=seed,
-        indices=basis.indices,
-    )
+    noisy = NoisyMoments(values=exact + noise, variances=variances, indices=basis.indices)
 
-    solution = fit_simplex(basis, 1.0 / _norms_sq(basis.indices), noisy.values)
-    z, f = solution.weights, solution.objective
-    dist = DiscreteDistribution(grid.points, z / z.sum()).pruned()
+    dist, solution = _fit_grid(noisy, grid, basis)
     report = DpSynthesisReport(
         n=n,
         k=basis.k,
         r=grid.points.shape[0],
         sigma2=sigma2,
-        gamma=math.sqrt(max(f, 0.0)),
+        gamma=math.sqrt(max(solution.objective, 0.0)),
         expected_bound=float("nan"),
         hp_bound_beta05=float("nan"),
         clamped=clamped,
-        objective=f,
+        objective=solution.objective,
         iterations=solution.iterations,
         converged=solution.converged,
         d=d,

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _tracing():
@@ -32,6 +34,67 @@ def test_traced_name_exists(module_name, qualname):
         assert hasattr(owner, part), f"momentforge.{module_name}.{qualname} is gone"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _library_calls():
+    """(dotted name, positional count, keyword names, line) of each call the
+    benchmark's workloads make into momentforge's dpsynth, sde or cli. A
+    `**name` splat of a function's `**name` parameter stands for the
+    keywords each caller of that function passes beyond its own
+    parameters, one entry per caller."""
+    tree = ast.parse(WORKLOADS.read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    forwarded = {}  # **kwargs name -> keyword sets its callers pass into it
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.args.kwarg:
+            own = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            forwarded.setdefault(fn.args.kwarg.arg, []).extend(
+                {kw.arg for kw in call.keywords if kw.arg} - own
+                for call in calls
+                if isinstance(call.func, ast.Name) and call.func.id == fn.name
+            )
+    found = []
+    for call in calls:
+        name = _dotted(call.func)
+        if not name or name[0] not in ("dpsynth", "sde", "cli"):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in call.args), f"line {call.lineno}"
+        variants = [{kw.arg for kw in call.keywords if kw.arg}]
+        for kw in call.keywords:
+            if kw.arg is None:
+                assert isinstance(kw.value, ast.Name), f"line {call.lineno}"
+                extras = forwarded.get(kw.value.id) or [set()]
+                variants = [v | extra for v in variants for extra in extras]
+        found.extend((".".join(name), len(call.args), keywords, call.lineno) for keywords in variants)
+    return found
+
+
+def test_workload_calls_cover_the_entry_points():
+    names = {name for name, _, _, _ in _library_calls()}
+    assert {"dpsynth.dp_synthesize", "dpsynth.dp_synthesize_multi", "cli.main",
+            "sde.estimate_spectral_density"} <= names
+
+
+@pytest.mark.parametrize(
+    "name,positional,keywords",
+    [pytest.param(n, p, k, id=f"{n}:{line}:{'+'.join(sorted(k))}") for n, p, k, line in _library_calls()],
+)
+def test_workload_call_binds(name, positional, keywords):
+    # the benchmark's calls stay fixed while the library changes under them,
+    # so a removed or renamed parameter would otherwise fail only in a
+    # benchmark run
+    owner = importlib.import_module(f"momentforge.{name.split('.')[0]}")
+    for part in name.split(".")[1:]:
+        owner = getattr(owner, part)
+    inspect.signature(owner).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
 # where each traced fileio function takes its path: the tracing hooks call

@@ -428,10 +428,11 @@ class TestDpSynthCommand:
         ])
         assert code == EXIT_OK
         payload = json.loads(report.read_text())
-        assert payload["n"] == 64
-        assert payload["k"] == 64
-        assert payload["w1_vs_input"] > 0
-        assert payload["manifest"]["seed"] == 7
+        assert set(payload) == {"release", "diagnostics"}
+        assert payload["release"]["n"] == 64
+        assert payload["release"]["k"] == 64
+        assert payload["diagnostics"]["w1_vs_input"] > 0
+        assert payload["diagnostics"]["manifest"]["seed"] == 7
 
     def test_byte_identical_outputs_same_manifest(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -447,6 +448,62 @@ class TestDpSynthCommand:
             assert code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @staticmethod
+    def _run(tmp_path, tag, values, *extra, dim=1):
+        data_path = tmp_path / f"{tag}.csv"
+        np.savetxt(data_path, values, fmt="%.8f", delimiter=",")
+        out = tmp_path / f"{tag}.dist.csv"
+        report = tmp_path / f"{tag}.json"
+        code = main([
+            "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
+            "--dim", str(dim), "--out", str(out), "--report", str(report), "--evaluate", *extra,
+        ])
+        assert code == EXIT_OK
+        return json.loads(report.read_text()), out.read_bytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_release_part_ignores_the_clamp_count(self, tmp_path, dim):
+        # a point at 1.5 clamps to 1.0: the rounded data, and so the release,
+        # are those of the dataset with the point at 1.0; only the private
+        # diagnostics see the difference
+        values = np.random.default_rng(3).uniform(-1, 1, (48, dim)).squeeze()
+        inside, outside = values.copy(), values.copy()
+        inside[0], outside[0] = 1.0, 1.5
+        a, a_out = self._run(tmp_path, "inside", inside, "--seed", "5", dim=dim)
+        b, b_out = self._run(tmp_path, "outside", outside, "--seed", "5", dim=dim)
+        assert json.dumps(a["release"], sort_keys=True) == json.dumps(b["release"], sort_keys=True)
+        assert a_out == b_out
+        assert a["diagnostics"]["clamped"] == 0
+        assert b["diagnostics"]["clamped"] == dim  # one count per clamped coordinate
+
+    def test_release_part_holds_no_private_key(self, tmp_path):
+        values = np.random.default_rng(4).uniform(-1, 1, 40)
+        payload, _ = self._run(tmp_path, "data", values, "--seed", "2")
+
+        def keys(obj):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(obj, list):
+                for value in obj:
+                    yield from keys(value)
+
+        assert not {"seed", "inputs", "clamped", "w1_vs_input"} & set(keys(payload["release"]))
+        assert {"clamped", "w1_vs_input", "manifest"} <= set(payload["diagnostics"])
+
+    def test_unseeded_runs_draw_fresh_seeds(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MOMENTFORGE_SEED", raising=False)
+        values = np.random.default_rng(6).uniform(-1, 1, 40)
+        runs = [self._run(tmp_path, f"run{i}", values) for i in range(2)]
+        seeds = [payload["diagnostics"]["manifest"]["seed"] for payload, _ in runs]
+        assert seeds[0] != seeds[1]
+        for i, (seed, (payload, dist)) in enumerate(zip(seeds, runs)):
+            assert 0 <= seed < 2**63
+            again, again_dist = self._run(tmp_path, f"run{i}", values, "--seed", str(seed))
+            assert again_dist == dist
+            assert again["release"] == payload["release"]
 
 
 class TestSdeCommand:
@@ -603,7 +660,7 @@ class TestSeedEnvVar:
         ])
         assert code == EXIT_OK
         payload = json.loads(report.read_text())
-        assert payload["manifest"]["seed"] == 99
+        assert payload["diagnostics"]["manifest"]["seed"] == 99
 
     def test_env_seed_read_on_every_call(self, tmp_path, monkeypatch):
         # the parser is built once per process, so the variable must be read
@@ -622,9 +679,10 @@ class TestSeedEnvVar:
                 "--out", str(tmp_path / "q.csv"), "--report", str(report), *extra,
             ])
             assert code == EXIT_OK
-            return json.loads(report.read_text())["manifest"]["seed"]
+            return json.loads(report.read_text())["diagnostics"]["manifest"]["seed"]
 
         assert recorded_seed("7") == 7
         assert recorded_seed("8") == 8
         assert recorded_seed("8", "--seed", "3") == 3
-        assert recorded_seed(None) == 0
+        # without either, dp-synth draws a secret seed rather than 0
+        assert recorded_seed(None) != recorded_seed(None)

@@ -12,7 +12,9 @@ from momentforge.distributions import (
     DiscreteDistribution,
     Grid,
     cheb_moments,
+    cheb_moments_multi,
     multi_index_array,
+    multi_moment_normalizers,
     round_to_grid,
     w1_distance,
 )
@@ -40,6 +42,35 @@ def scaled_moment_release(data, k):
     return normalized / np.sqrt(np.arange(1, k + 1))
 
 
+def scaled_tensor_release(points, m):
+    """The tensor release whitened by its noise schedule: entries
+    ||K||^{-1/2} * mean of the normalized T_K over the (n, d) points."""
+    release = exact_tensor_release(points, m)
+    return release.values / np.sqrt(np.linalg.norm(release.indices, axis=1))
+
+
+def tensor_sensitivity_sq_bound(n, m, d):
+    """D^2 = 2^(d+1) norm_inverse_sum(m, d) / (pi^d n^2), the squared l2
+    sensitivity the tensor noise schedule is calibrated to."""
+    return 2.0 ** (d + 1) * norm_inverse_sum(m, d) / (math.pi**d * n**2)
+
+
+def exact_release(data, k):
+    """The zero-variance 1-D release of the dataset's own moments."""
+    p = DiscreteDistribution.uniform_over(data)
+    values = cheb_moments(p, k).values * math.sqrt(2.0 / math.pi)
+    return NoisyMoments(values=values, variances=np.zeros(k))
+
+
+def exact_tensor_release(points, m):
+    """The zero-variance tensor release of the (n, d) points' own moments."""
+    d = points.shape[1]
+    indices = multi_index_array(m, d)
+    p = DiscreteDistribution.uniform_over(points)
+    values = cheb_moments_multi(p, m).values * multi_moment_normalizers(indices, d)
+    return NoisyMoments(values=values, variances=np.zeros(indices.shape[0]), indices=indices)
+
+
 class TestSensitivity:
     def test_single_point_single_moment(self):
         assert sensitivity_sq_bound(1, 1) == pytest.approx(8 / math.pi)
@@ -61,6 +92,31 @@ class TestSensitivity:
             other[rng.integers(0, n)] = rng.uniform(-1, 1)
             diff = scaled_moment_release(data, k) - scaled_moment_release(other, k)
             assert np.linalg.norm(diff) <= bound + 1e-12
+
+    @pytest.mark.parametrize("d,m", [(2, 9), (3, 5)])
+    def test_tensor_bound_neighboring_datasets(self, d, m):
+        rng = np.random.default_rng(30 + d)
+        n = 40
+        bound = math.sqrt(tensor_sensitivity_sq_bound(n, m, d))
+        for _ in range(25):
+            data = rng.uniform(-1, 1, (n, d))
+            other = data.copy()
+            other[rng.integers(0, n)] = rng.uniform(-1, 1, d)
+            diff = scaled_tensor_release(data, m) - scaled_tensor_release(other, m)
+            assert np.linalg.norm(diff) <= bound + 1e-12
+
+    @pytest.mark.parametrize("d,m_max", [(2, 32), (3, 16)])
+    def test_tensor_bound_corner_pairs(self, d, m_max):
+        # two corners of [-1, 1]^d as the one differing point: the worst
+        # pairs on the grid, whose D^2 rises towards the bound from below
+        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+        for m in range(2, m_max + 1):
+            bound_sq = tensor_sensitivity_sq_bound(1, m, d)
+            release = np.array([scaled_tensor_release(c[None, :], m) for c in corners])
+            for a in range(len(corners)):
+                for b in range(a + 1, len(corners)):
+                    diff_sq = float(np.sum((release[a] - release[b]) ** 2))
+                    assert diff_sq <= bound_sq * (1.0 + 1e-12), (m, corners[a], corners[b])
 
 
 class TestNoise:
@@ -219,11 +275,11 @@ class TestPipeline1D:
         n = 40
         grid = Grid.uniform(math.ceil(budget.epsilon * n))
         data = grid.points[rng.integers(0, grid.size, n)]
-        result = dp_synthesize(data, budget, seed=0, sigma2_override=0.0)
+        k = math.ceil(2 * budget.epsilon * n)
+        dist, solution = synthesize_from_noisy_moments(exact_release(data, k), grid)
         p = DiscreteDistribution.uniform_over(data)
-        k = result.report.k
-        assert w1_distance(p, result.distribution) <= 36.0 / k + 1e-6
-        assert result.report.gamma <= 1e-7
+        assert w1_distance(p, dist) <= 36.0 / k + 1e-6
+        assert math.sqrt(solution.objective) <= 1e-7
 
     def test_report_parameters(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
@@ -254,7 +310,6 @@ class TestPipeline1D:
         replay = NoisyMoments(
             values=result.noisy_moments.values.copy(),
             variances=result.noisy_moments.variances.copy(),
-            seed=None,
         )
         dist, _ = synthesize_from_noisy_moments(replay, grid)
         assert np.array_equal(dist.support, result.distribution.support)
@@ -335,9 +390,10 @@ class TestPipelineMulti:
         root = (budget.epsilon * n) ** 0.5
         grid = Grid.tensor_uniform(math.ceil(root), 2)
         data = grid.points[rng.integers(0, grid.points.shape[0], n)]
-        result = dp_synthesize_multi(data, budget, seed=0, sigma2_override=0.0)
-        assert result.report.gamma <= 1e-8
-        assert result.report.d == 2
+        m = math.ceil(2 * root)
+        dist, solution = synthesize_from_noisy_moments(exact_tensor_release(data, m), grid)
+        assert math.sqrt(solution.objective) <= 1e-8
+        assert dist.d == 2
 
     def test_sigma2_uses_exact_norm_sum(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
@@ -376,3 +432,49 @@ class TestPipelineMulti:
         sigma2 = result.report.sigma2
         for K, var in zip(result.noisy_moments.indices, result.noisy_moments.variances):
             assert var == pytest.approx(sigma2 * math.sqrt(sum(v * v for v in K)))
+
+
+class TestReplay:
+    """`synthesize_from_noisy_moments` is the one fit of both pipelines: a
+    release rebuilt from its values, variances and indices alone, with the
+    grid from the public parameters, replays bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d,n", [(1, 50), (1, 1024), (2, 64), (2, 1024), (3, 64), (3, 1024)]
+    )
+    def test_replay_matches_pipeline(self, d, n):
+        budget = PrivacyBudget(epsilon=0.5, delta=1.0 / n**2)
+        rng = np.random.default_rng([n, d])
+        if d == 1:
+            result = dp_synthesize(rng.uniform(-1, 1, n), budget, seed=n)
+            grid = Grid.uniform(math.ceil(budget.epsilon * n))
+        else:
+            result = dp_synthesize_multi(rng.uniform(-1, 1, (n, d)), budget, seed=n)
+            grid = Grid.tensor_uniform(math.ceil((budget.epsilon * n) ** (1.0 / d)), d)
+        released = result.noisy_moments
+        replay = NoisyMoments(
+            values=released.values.copy(),
+            variances=released.variances.copy(),
+            indices=None if released.indices is None else released.indices.copy(),
+        )
+        dist, solution = synthesize_from_noisy_moments(replay, grid)
+        assert dist.support.tobytes() == result.distribution.support.tobytes()
+        assert dist.weights.tobytes() == result.distribution.weights.tobytes()
+        assert solution.objective == result.report.objective
+        assert solution.iterations == result.report.iterations
+
+    def test_tensor_replay_rejects_other_indices_or_grid(self):
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        data = np.random.default_rng(12).uniform(-1, 1, (32, 2))
+        noisy = dp_synthesize_multi(data, budget, seed=6).noisy_moments
+        m = int(noisy.indices.max())
+        grid = Grid.tensor_uniform(math.ceil(m / 2), 2)
+        reordered = NoisyMoments(
+            values=noisy.values[::-1], variances=noisy.variances[::-1], indices=noisy.indices[::-1]
+        )
+        with pytest.raises(ValueError):
+            synthesize_from_noisy_moments(reordered, grid)
+        for other in (Grid.tensor_uniform(math.ceil(m / 2) + 1, 2), Grid.tensor_uniform(2, 3),
+                      Grid.uniform(math.ceil(m / 2))):
+            with pytest.raises(ValueError):
+                synthesize_from_noisy_moments(noisy, other)
