@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage, 2 I/O or malformed input file, 3 validation,
 4 solver-not-converged. Every JSON report embeds the run manifest (resolved
 parameters, seed, input digests, tool version); identical manifests produce
 byte-identical outputs. The MOMENTFORGE_SEED environment variable supplies
-a default seed, else it is 0.
+a default seed, else it is 0; a value that is not an integer exits 3. The
+sde subcommand exits 3 on a matrix with a non-finite entry or one that is
+not symmetric within 1e-8.
 
 The dp-synth report has two parts. `release` holds only what the noisy
 moments and public parameters determine, so it can be published with the
@@ -72,7 +74,10 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed(subcommand):
     env = os.environ.get("MOMENTFORGE_SEED")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"MOMENTFORGE_SEED must be an integer, got {env!r}") from None
     # a public default key would let anyone subtract the release's noise
     return secrets.randbits(63) if subcommand == "dp-synth" else 0
 
@@ -146,6 +151,8 @@ def _cmd_dp_synth(args):
 
 def _cmd_sde(args):
     dense = load_matrix(args.matrix)
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("matrix entries must be finite")
     if np.max(np.abs(dense - dense.T)) > 1e-8:
         raise ValueError("matrix is not symmetric within 1e-8")
     op = LinearOperator.from_dense(dense)
@@ -339,9 +346,9 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed(args.subcommand)  # per call: the cached parser holds no seed
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed(args.subcommand)  # per call: the cached parser holds no seed
         return args.func(args)
     except CsvFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,8 +21,9 @@ The 1-D fit rescales the release to plain moments by sqrt(pi/2).
 The mechanism treats the dataset size n as public: the noise variance
 sigma^2 depends on n (as 1/n^2), so a release reveals n. Data outside
 [-1,1] is clamped and counted; the count (`DpSynthesisReport.clamped`) is
-data-dependent and not privatized, so it is a private diagnostic, not part
-of the release.
+of clamped coordinates, not points (a tensor point at (1.5, 1.5) counts 2).
+It is data-dependent and not privatized, so it is a private diagnostic, not
+part of the release.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class DpSynthesisReport:
     gamma: float
     expected_bound: float
     hp_bound_beta05: float
-    clamped: int
+    clamped: int  # clamped coordinates, not points: (1.5, 1.5) counts 2
     objective: float
     iterations: int
     converged: bool

@@ -12,7 +12,9 @@ l_1 + l_3 + l_5 + ... products for the schedule l_1 >= l_2 >= ... >= l_k.
 The power method and the probes draw from independent seeded streams.
 When the probe schedule would cost more products than reading the
 matrix column by column, the pipeline reads the matrix instead, charging
-n products, and eigendecomposes it directly.
+n products, and eigendecomposes it directly: one LAPACK `dsyevd` call on
+the matrix's transpose view, which reads one triangle. Symmetry is the
+caller's promise; the `momentforge sde` command checks it within 1e-8.
 """
 
 from __future__ import annotations
@@ -306,15 +308,22 @@ def matvec_budget(n, epsilon, delta):
 def _dense_read_density(op):
     """Read the matrix and eigendecompose, charging n products. An operator
     built from a dense matrix hands it over; any other is read by products
-    with the standard basis."""
+    with the standard basis.
+
+    One LAPACK `dsyevd` call on the transpose view, which is already in
+    Fortran order, so the read allocates no n x n array of its own. It
+    reads one triangle (the lower one of the view, the upper one of the
+    matrix) and never the other: symmetry is the caller's promise. The
+    caller's matrix is not modified. Non-finite entries raise `ValueError`.
+    """
+    import scipy.linalg
+
     columns = op._dense
     if columns is None:
         columns = op.apply_block(np.eye(op.n))
     else:
         op._charge(op.n)
-    sym = columns + columns.T
-    sym *= 0.5
-    return np.linalg.eigvalsh(sym)
+    return scipy.linalg.eigh(columns.T, lower=True, eigvals_only=True, driver="evd")
 
 
 def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_constant=16.0, degree_constant=80.0):

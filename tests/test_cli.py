@@ -525,6 +525,19 @@ class TestSdeCommand:
         assert payload["path"] == "dense"
         assert payload["matvecs"] == 12
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, bad):
+        path = tmp_path / "a.csv"
+        path.write_text(f"1,{bad}\n{bad},1\n")
+        out = tmp_path / "q.csv"
+        code = main([
+            "sde", "--matrix", str(path), "--eps", "0.2", "--delta", "0.1",
+            "--seed", "5", "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPopmleCommand:
     def test_with_truth(self, tmp_path):
@@ -686,3 +699,20 @@ class TestSeedEnvVar:
         assert recorded_seed("8", "--seed", "3") == 3
         # without either, dp-synth draws a secret seed rather than 0
         assert recorded_seed(None) != recorded_seed(None)
+
+    @pytest.mark.parametrize("subcommand", ["sde", "dp-synth"])
+    def test_non_integer_env_seed_is_a_validation_error(self, tmp_path, monkeypatch, capsys, subcommand):
+        monkeypatch.setenv("MOMENTFORGE_SEED", "abc")
+        out = tmp_path / "q.csv"
+        if subcommand == "sde":
+            path = tmp_path / "a.csv"
+            path.write_text("1,0.5\n0.5,1\n")
+            argv = ["sde", "--matrix", str(path), "--eps", "0.2", "--delta", "0.1"]
+        else:
+            path = tmp_path / "data.csv"
+            np.savetxt(path, np.random.default_rng(5).uniform(-1, 1, 30), fmt="%.8f")
+            argv = ["dp-synth", "--data", str(path), "--epsilon", "0.5", "--delta", "0.01"]
+        code = main([*argv, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "MOMENTFORGE_SEED" in capsys.readouterr().err
+        assert not out.exists()

@@ -323,6 +323,37 @@ class TestEstimatePipeline:
         assert products == [(16, 16)]
         assert np.array_equal(dense.distribution.support, read.distribution.support)
 
+    def test_dense_read_leaves_the_callers_matrix_unchanged(self):
+        # from_dense shares the caller's array, and the read must not write to it
+        rng = np.random.default_rng(43)
+        a = random_symmetric(rng, 24)
+        before = a.copy()
+        result = estimate_spectral_density(LinearOperator.from_dense(a), epsilon=0.1, delta=0.1, seed=0)
+        assert result.report.path == "dense"
+        assert np.array_equal(a, before)
+
+    def test_dense_read_rejects_non_finite_entries(self):
+        a = random_symmetric(np.random.default_rng(47), 12)
+        a[3, 7] = a[7, 3] = np.nan
+        with pytest.raises(ValueError):
+            estimate_spectral_density(LinearOperator.from_dense(a), epsilon=0.1, delta=0.1, seed=0)
+
+    def test_dense_read_of_a_nearly_symmetric_matrix(self):
+        # the read takes one triangle, which is a symmetric matrix within
+        # 1e-10 per entry of the symmetric part, so by Weyl's bound every
+        # eigenvalue moves by at most n * 1e-10
+        n = 32
+        rng = np.random.default_rng(53)
+        a = random_symmetric(rng, n)
+        e = rng.uniform(-0.5e-10, 0.5e-10, (n, n))
+        perturbed = a + (e - e.T)
+        assert np.max(np.abs(perturbed - a)) <= 1e-10
+        exact = estimate_spectral_density(LinearOperator.from_dense(a), epsilon=0.1, delta=0.1, seed=0)
+        read = estimate_spectral_density(LinearOperator.from_dense(perturbed), epsilon=0.1, delta=0.1, seed=0)
+        assert read.report.path == "dense"
+        gaps = np.abs(read.distribution.support - exact.distribution.support)
+        assert np.max(gaps) <= n * 1e-10
+
     def test_tiny_epsilon_forces_dense(self):
         a = np.diag([0.5, -0.5, 0.25, 0.0])
         op = LinearOperator.from_dense(a)
