@@ -52,7 +52,6 @@ from .popmle import (
 from .recovery import (
     LPSolution,
     QPSolution,
-    RecoveryConfig,
     RecoveryResult,
     recover_distribution,
     simplex_project,

@@ -6,7 +6,9 @@ parameters, seed, input digests, tool version); identical manifests produce
 byte-identical outputs. The MOMENTFORGE_SEED environment variable supplies
 a default seed, else it is 0; a value that is not an integer exits 3. The
 sde subcommand exits 3 on a matrix with a non-finite entry or one that is
-not symmetric within 1e-8.
+not symmetric within 1e-8; dp-synth when `--dim` differs from the data
+file's column count; experiment-dp when `--nmin` is below 2, the
+pipeline's smallest n, or `--nmax` below `--nmin`.
 
 The dp-synth report has two parts. `release` holds only what the noisy
 moments and public parameters determine, so it can be published with the
@@ -128,10 +130,11 @@ def _cmd_recover(args):
 
 def _cmd_dp_synth(args):
     data = load_dataset_csv(args.data)
+    columns = 1 if data.ndim == 1 else data.shape[1]
+    if columns != args.dim:
+        raise ValueError(f"--dim {args.dim} does not match the data file's {columns} columns")
     budget = PrivacyBudget(epsilon=args.epsilon, delta=args.delta)
     if args.dim == 1:
-        if np.asarray(data).ndim != 1:
-            raise ValueError("--dim 1 expects a single column")
         result = dp_synthesize(data, budget, args.seed)
     else:
         result = dp_synthesize_multi(data, budget, args.seed)
@@ -196,6 +199,10 @@ def _cmd_popmle(args):
 
 
 def _cmd_experiment_dp(args):
+    if args.nmin < 2:
+        raise ValueError("--nmin must be at least 2")
+    if args.nmax < args.nmin:
+        raise ValueError("--nmax must be at least --nmin")
     n_values = []
     n = args.nmin
     while n <= args.nmax:

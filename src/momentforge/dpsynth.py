@@ -44,7 +44,7 @@ from .distributions import (
     multi_index_array,
     round_to_grid,
 )
-from .recovery import KroneckerBasis, NufftBasis, RecoveryConfig, fit_simplex, solve_weighted_qp
+from .recovery import KroneckerBasis, NufftBasis, fit_simplex, solve_weighted_qp
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def _fit_grid(noisy, grid, basis):
     # weights 1/||K||^2
     if noisy.indices is None:
         plain = MomentVector(noisy.values * math.sqrt(math.pi / 2.0))
-        solution = solve_weighted_qp(plain, RecoveryConfig(k=noisy.k, grid=grid), basis=basis)
+        solution = solve_weighted_qp(plain, basis)
     else:
         solution = fit_simplex(basis, 1.0 / _norms_sq(noisy.indices), noisy.values)
     weights = solution.weights / solution.weights.sum()

@@ -13,6 +13,11 @@ all work in double precision: an explicit table (`DenseBasis`), a NUFFT on
 arbitrary 1-D points (`NufftBasis`, which every 1-D fit uses) and a
 Kronecker product of per-axis tables on tensor grids (`KroneckerBasis`).
 The fast ones never materialize a dense table.
+
+The entry points take only what they cannot work out: the degree k is the
+moments' own, and the grid, when not given, is the Chebyshev nodes of
+`default_grid_size(k)` for the regression and of `lp_grid_size(k)` for the
+feasibility fit. Both refuse a grid of fewer than k points.
 """
 
 from __future__ import annotations
@@ -45,29 +50,6 @@ def default_grid_size(k):
 def lp_grid_size(k):
     """ceil(k^1.5 sqrt(1 + log k)), the finer grid the feasibility fit uses."""
     return int(math.ceil(k**1.5 * math.sqrt(1.0 + math.log(k))))
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Fit parameters: degree k and grid (its size g defaults from k)."""
-
-    k: int
-    g: int = None
-    grid: Grid = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("degree must be positive")
-        g = self.g
-        if self.grid is not None:
-            g = self.grid.size
-        elif g is None:
-            g = default_grid_size(self.k)
-        if g < self.k:
-            raise ValueError("grid size must be at least k")
-        object.__setattr__(self, "g", int(g))
-        if self.grid is None:
-            object.__setattr__(self, "grid", Grid.chebyshev(self.g))
 
 
 @dataclass
@@ -507,33 +489,36 @@ def fit_simplex(basis, weights, target):
     )
 
 
-def solve_weighted_qp(moments, cfg, basis=None):
-    """Minimize sum_j (m_j - sum_i z_i T_j(x_i))^2 / j^2 over the simplex."""
-    if moments.k != cfg.k:
-        raise ValueError("moment degree does not match the configuration")
-    if basis is None:
-        basis = NufftBasis(cfg.grid.points, cfg.k)
-    j = np.arange(1, cfg.k + 1)
+def solve_weighted_qp(moments, basis):
+    """Minimize sum_j (m_j - (B z)_j)^2 / j^2 over the simplex, B the
+    basis's moment map on a grid of at least k points."""
+    if moments.k != basis.k:
+        raise ValueError("moment degree does not match the basis")
+    if basis.size < basis.k:
+        raise ValueError("grid size must be at least k")
+    j = np.arange(1, basis.k + 1)
     return fit_simplex(basis, 1.0 / (j * j), moments.values)
 
 
-def recover_distribution(moments, cfg=None):
-    """Full moment-regression recovery on a Chebyshev-node grid.
+def recover_distribution(moments, grid=None):
+    """Full moment-regression recovery on a grid, by default the
+    `default_grid_size(k)` Chebyshev nodes.
 
     Fits the weighted residual over the simplex, prunes negligible weights
     and reports the a-posteriori moment error of the result against the
     input moments. Solver non-convergence is flagged, not fatal.
     """
-    if cfg is None:
-        cfg = RecoveryConfig(k=moments.k)
-    solution = solve_weighted_qp(moments, cfg)
-    dist = _distribution_from_weights(cfg.grid, solution.weights)
-    achieved = cheb_moments(dist, cfg.k)
+    k = moments.k
+    if grid is None:
+        grid = Grid.chebyshev(default_grid_size(k))
+    solution = solve_weighted_qp(moments, NufftBasis(grid.points, k))
+    dist = _distribution_from_weights(grid, solution.weights)
+    achieved = cheb_moments(dist, k)
     report = moment_error_gamma(moments, achieved)
     return RecoveryResult(
         distribution=dist,
-        k=cfg.k,
-        g=cfg.g,
+        k=k,
+        g=grid.size,
         gamma=report.gamma,
         w1_bound=report.w1_bound,
         w1_bound_optimistic=report.w1_bound_optimistic,
@@ -543,8 +528,10 @@ def recover_distribution(moments, cfg=None):
     )
 
 
-def solve_moment_lp(moments, per_moment_tol, cfg=None):
-    """Find simplex weights whose moments fall in [m_j - tol_j, m_j + tol_j].
+def solve_moment_lp(moments, per_moment_tol, grid=None):
+    """Find simplex weights on a grid of at least k points, by default the
+    `lp_grid_size(k)` Chebyshev nodes, whose moments fall in
+    [m_j - tol_j, m_j + tol_j].
 
     One exact `fit_simplex` of the moments with each residual scaled by its
     tolerance, min sum_j ((B z)_j - m_j)^2 / tol_j^2, whose minimizer does
@@ -556,9 +543,11 @@ def solve_moment_lp(moments, per_moment_tol, cfg=None):
     tols = np.broadcast_to(np.asarray(per_moment_tol, dtype=float), (k,))
     if np.any(tols <= 0):
         raise ValueError("tolerances must be positive")
-    if cfg is None:
-        cfg = RecoveryConfig(k=k, g=lp_grid_size(k))
-    basis = NufftBasis(cfg.grid.points, k)
+    if grid is None:
+        grid = Grid.chebyshev(lp_grid_size(k))
+    if grid.size < k:
+        raise ValueError("grid size must be at least k")
+    basis = NufftBasis(grid.points, k)
     fit = fit_simplex(basis, 1.0 / tols**2, moments.values)
     excess = np.abs(basis.apply(fit.weights) - moments.values) - tols
     max_violation = max(float(np.max(excess)), 0.0)

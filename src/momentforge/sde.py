@@ -1,10 +1,12 @@
 """Spectral density estimation from matrix-vector products.
 
 A symmetric operator is accessed only through products; the pipeline bounds
-its norm by the power method, estimates Chebyshev moments of the eigenvalue
-distribution by stochastic trace estimation with a per-degree probe
-schedule, and recovers a distribution through the box-constrained moment
-fit, the library's one exact simplex fit with tolerance-scaled residuals.
+its norm by S from the power method, estimates Chebyshev moments of the
+eigenvalue distribution of A / S by stochastic trace estimation with a
+per-degree probe schedule (the recurrence multiplies each product of A by
+1 / S or 2 / S in place), and recovers a distribution through the
+box-constrained moment fit, the library's one exact simplex fit with
+tolerance-scaled residuals.
 The moment estimates use the product identities T_{2d} = 2 T_d^2 - 1 and
 T_{2d+1} = 2 T_{d+1} T_d - T_1 (the kernel polynomial method's halving),
 so degree k costs the probes' recurrence only up to degree ceil(k / 2):
@@ -25,15 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import seeded_rademacher
-from .distributions import DiscreteDistribution, MomentVector
-from .recovery import RecoveryConfig, lp_grid_size, solve_moment_lp
+from .distributions import DiscreteDistribution, Grid, MomentVector
+from .recovery import lp_grid_size, solve_moment_lp
 
 
 class LinearOperator:
     """A symmetric matrix seen only through matrix-vector products.
 
-    Carries the dimension and a monotone product counter. Linearity and
-    symmetry are the caller's promise; tests spot-check both on random probes.
+    Carries the dimension and `matvec_count`, a monotone product counter.
+    Linearity and symmetry are the caller's promise; tests spot-check both
+    on random probes. `matvec` returns a new array, which the estimator
+    scales in place.
     """
 
     def __init__(self, n, matvec):
@@ -41,21 +45,14 @@ class LinearOperator:
             raise ValueError("dimension must be positive")
         self.n = int(n)
         self._matvec = matvec
-        self._count = 0
+        self.matvec_count = 0
         self._dense = None  # the matrix itself, when built from one
-
-    @property
-    def matvec_count(self):
-        return self._count
-
-    def _charge(self, amount):
-        self._count += amount
 
     def apply(self, vector):
         v = np.asarray(vector, dtype=float)
         if v.shape != (self.n,):
             raise ValueError("vector shape mismatch")
-        self._charge(1)
+        self.matvec_count += 1
         return np.asarray(self._matvec(v), dtype=float)
 
     def apply_block(self, block):
@@ -63,32 +60,9 @@ class LinearOperator:
         b = np.asarray(block, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.n:
             raise ValueError("block shape mismatch")
-        self._charge(b.shape[1])
+        self.matvec_count += b.shape[1]
         out = self._matvec(b)
         return np.asarray(out, dtype=float)
-
-    def scaled(self, factor):
-        """The operator factor * A, sharing this counter."""
-        parent = self
-
-        class _Scaled(LinearOperator):
-            def __init__(self):
-                super().__init__(parent.n, None)
-
-            def apply(self, vector):
-                return factor * parent.apply(vector)
-
-            def apply_block(self, block):
-                return factor * parent.apply_block(block)
-
-            @property
-            def matvec_count(self):
-                return parent.matvec_count
-
-            def _charge(self, amount):  # charged by the parent
-                pass
-
-        return _Scaled()
 
     @classmethod
     def from_dense(cls, matrix):
@@ -118,7 +92,6 @@ class SdeConfig:
 
     epsilon: float
     delta: float
-    seed: int
     probe_constant: float = 16.0  # C in the probe schedule
     degree_constant: float = 80.0  # k = ceil(degree_constant / epsilon)
 
@@ -225,11 +198,20 @@ def power_method_bound(op, iters, seed):
     return PowerMethodBound(value=2.0 * best, is_zero=False, iterations=iters)
 
 
-def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
-    """Stochastic Chebyshev moment estimates of the spectral density.
+def _check_norm_bound(norm_bound):
+    if not (math.isfinite(norm_bound) and norm_bound > 0.0):
+        raise ValueError("norm bound must be positive and finite")
 
-    m_j = mean over the first l_j probes g of g^T T_j(A) g / n, with
-    Rademacher probes and a nonincreasing schedule l_1 >= ... >= l_k. The
+
+def hutchinson_cheb_moments(op, schedule, seed, norm_bound=1.0):
+    """Stochastic Chebyshev moment estimates of the spectral density of
+    A / S, S = `norm_bound`, which must be at least A's norm.
+
+    m_j = mean over the first l_j probes g of g^T T_j(A / S) g / n, with
+    Rademacher probes drawn from `PCG64(seed)` and a nonincreasing schedule
+    of positive counts l_1 >= ... >= l_k, k = len(schedule) >= 1. The
+    recurrence takes T_1 G = (1 / S)(A G) and
+    T_{d+1} G = (2 / S)(A T_d G) - T_{d-1} G. The
     product identities T_{2d} = 2 T_d^2 - 1 and T_{2d+1} = 2 T_{d+1} T_d - T_1
     give the same estimates from the recurrence run only to degree
     ceil(k / 2):
@@ -239,21 +221,18 @@ def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
 
     each sum over the first l_j probes. Degree d advances the first
     l_{2d-1} columns, so the run costs sum_d l_{2d-1} = schedule[0::2].sum()
-    products (`schedule_matvec_cost`). The operator must already have norm
-    at most 1. Returns (moments, matvecs used, schedule).
+    products (`schedule_matvec_cost`). Returns (moments, matvecs used).
     """
-    n = op.n
-    if k is None:
-        k = cfg.k
-    if schedule is None:
-        schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-    counts = [int(c) for c in schedule[:k]]
-    if any(later > earlier for earlier, later in zip(counts, counts[1:])):
-        raise ValueError("probe schedule must be nonincreasing")
+    _check_norm_bound(norm_bound)
+    n, k = op.n, len(schedule)
+    counts = [int(c) for c in schedule]
+    if not counts or counts[-1] < 1 or any(later > earlier for earlier, later in zip(counts, counts[1:])):
+        raise ValueError("probe schedule must be nonempty, positive and nonincreasing")
     start_count = op.matvec_count
-    probes = seeded_rademacher(cfg.seed, (n, counts[0]))
-    t_prev = probes  # T_0(A) G
-    t_cur = op.apply_block(probes)  # T_1(A) G
+    probes = seeded_rademacher(seed, (n, counts[0]))
+    t_prev = probes  # T_0 G
+    t_cur = op.apply_block(probes)
+    t_cur *= 1.0 / norm_bound  # T_1 G
     # prefix sums over columns of g.g and g.T_1 g, the identities' corrections
     gg = np.cumsum(np.einsum("ij,ij->j", probes, probes))
     gt1 = np.cumsum(np.einsum("ij,ij->j", probes, t_cur))
@@ -262,7 +241,8 @@ def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
     for d in range(1, (k + 1) // 2 + 1):
         if d > 1:  # T_d on the l_{2d-1} columns still in use
             active = counts[2 * d - 2]
-            t_next = 2.0 * op.apply_block(t_cur[:, :active])
+            t_next = op.apply_block(t_cur[:, :active])
+            t_next *= 2.0 / norm_bound
             t_next -= t_prev[:, :active]
             t_prev, t_cur = t_cur[:, :active], t_next
             cross = np.einsum("ij,ij->", t_cur, t_prev)
@@ -272,8 +252,7 @@ def hutchinson_cheb_moments(op, cfg, k=None, schedule=None):
             head = t_cur[:, :even]
             square = np.einsum("ij,ij->", head, head)
             estimates[2 * d - 1] = (2.0 * square - gg[even - 1]) / (even * n)
-    used = op.matvec_count - start_count
-    return MomentVector(estimates), used, schedule
+    return MomentVector(estimates), op.matvec_count - start_count
 
 
 @dataclass
@@ -322,7 +301,7 @@ def _dense_read_density(op):
     if columns is None:
         columns = op.apply_block(np.eye(op.n))
     else:
-        op._charge(op.n)
+        op.matvec_count += op.n
     return scipy.linalg.eigh(columns.T, lower=True, eigvals_only=True, driver="evd")
 
 
@@ -337,12 +316,13 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     W1 bound, and the exact fit certifies that its answer lies inside them.
     An infeasible fit doubles the tolerance once. The power method draws
     from a child of `SeedSequence(seed)`, independent of the probes'
-    `PCG64(seed)` stream.
+    `PCG64(seed)` stream. A given `norm_bound` must be positive and finite.
     """
+    if norm_bound is not None:
+        _check_norm_bound(norm_bound)
     cfg = SdeConfig(
         epsilon=epsilon,
         delta=delta,
-        seed=seed,
         probe_constant=probe_constant,
         degree_constant=degree_constant,
     )
@@ -373,19 +353,16 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
         power_seed = np.random.SeedSequence(seed).spawn(1)[0]
         power = power_method_bound(op, power_iters, power_seed)
         norm_bound = power.value
-    start = op.matvec_count
-    scaled = op.scaled(1.0 / norm_bound)
-    moments, used, schedule = hutchinson_cheb_moments(scaled, cfg, k=k, schedule=schedule)
-    g = cfg.grid_size
+    moments, used = hutchinson_cheb_moments(op, schedule, seed, norm_bound)
+    grid = Grid.chebyshev(cfg.grid_size)
     j = np.arange(1, k + 1)
-    tols = np.sqrt(j) * cfg.gamma + j * math.sqrt(2.0 * math.pi) / g
-    lp_cfg = RecoveryConfig(k=k, g=g)
-    solution = solve_moment_lp(moments, tols, lp_cfg)
+    tols = np.sqrt(j) * cfg.gamma + j * math.sqrt(2.0 * math.pi) / grid.size
+    solution = solve_moment_lp(moments, tols, grid)
     doubled = False
     if not solution.feasible:
         doubled = True
-        solution = solve_moment_lp(moments, 2.0 * tols, lp_cfg)
-    dist = DiscreteDistribution(lp_cfg.grid.points, solution.weights / solution.weights.sum())
+        solution = solve_moment_lp(moments, 2.0 * tols, grid)
+    dist = DiscreteDistribution(grid.points, solution.weights / solution.weights.sum())
     dist = dist.pruned()
     result = _rescaled_support(dist.support, norm_bound, dist.weights)
     report = SdeReport(
@@ -393,7 +370,7 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
         norm_bound=norm_bound,
         k=k,
         gamma=cfg.gamma,
-        matvecs=op.matvec_count - start + power_iters,
+        matvecs=used + power_iters,
         budget_formula_value=budget_value,
         floor_matvecs=floor,
         path="hutchinson",

@@ -60,7 +60,6 @@ from momentforge.popmle import (
 from momentforge.recovery import recover_distribution
 from momentforge.sde import (
     LinearOperator,
-    SdeConfig,
     estimate_spectral_density,
     hutchinson_cheb_moments,
     probe_schedule,
@@ -329,8 +328,7 @@ def test_criterion_6_hutchinson_accuracy():
     trials = 200
     failures = np.zeros(k, dtype=int)
     for seed in range(trials):
-        cfg = SdeConfig(epsilon=0.5, delta=delta, seed=seed, probe_constant=16.0, degree_constant=16.0)
-        moments, _, _ = hutchinson_cheb_moments(op, cfg, k=k, schedule=schedule)
+        moments, _ = hutchinson_cheb_moments(op, schedule, seed)
         failures += (np.abs(moments.values - exact) > np.sqrt(j) * gamma).astype(int)
     allowed = alpha * trials
     ok = bool(np.all(failures <= allowed))

@@ -5,9 +5,18 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from momentforge.distributions import DiscreteDistribution, Grid, MomentVector, cheb_moments
+from momentforge.dpsynth import PrivacyBudget
+from momentforge.fileio import save_moments_csv
+from momentforge.popmle import fingerprint
+from momentforge.recovery import NufftBasis
+from momentforge.sde import LinearOperator
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -34,6 +43,63 @@ def test_traced_name_exists(module_name, qualname):
         assert hasattr(owner, part), f"momentforge.{module_name}.{qualname} is gone"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _hooked():
+    return [
+        f"{mod}.{name}" for mod, names in _tracing().TRACED.items() for name, hook in names.items() if hook
+    ]
+
+
+def _moments_file(tmp_path):
+    path = tmp_path / "moments.csv"
+    save_moments_csv(cheb_moments(DiscreteDistribution.point_mass(0.2), 4), path)
+    return str(path)
+
+
+def _text_file(tmp_path, text="0.25\n-0.5\n"):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return str(path)
+
+
+# a tiny call of each traced function that has a count hook: its arguments
+# in a temporary directory, the owning instance first for a method
+HOOK_CALLS = {
+    "recovery.solve_weighted_qp": lambda tmp: (MomentVector(np.zeros(1)), NufftBasis(Grid.chebyshev(8).points, 1)),
+    "recovery.solve_moment_lp": lambda tmp: (MomentVector(np.array([0.3, -0.1])), np.full(2, 1e-3)),
+    "dpsynth.dp_synthesize_multi": lambda tmp: (
+        np.random.default_rng(0).uniform(-1, 1, (64, 2)), PrivacyBudget(0.5, 0.01), 0
+    ),
+    "sde.LinearOperator.apply_block": lambda tmp: (LinearOperator.from_dense(np.eye(3)), np.ones((3, 2))),
+    "sde.estimate_spectral_density": lambda tmp: (LinearOperator.from_diagonal(np.linspace(-1, 1, 64)), 0.5, 0.2, 0),
+    "popmle.npmle_em": lambda tmp: (fingerprint(np.array([0, 1, 2, 2]), 2),),
+    "fileio.load_moments_csv": lambda tmp: (_moments_file(tmp),),
+    "fileio.load_dataset_csv": lambda tmp: (_text_file(tmp),),
+    "fileio.save_distribution_csv": lambda tmp: (DiscreteDistribution.point_mass(0.2), str(tmp / "out.csv")),
+    "fileio.sha256_file": lambda tmp: (_text_file(tmp),),
+    "fileio.write_json_report": lambda tmp: ({"k": 1}, str(tmp / "report.json")),
+}
+
+
+def test_hook_calls_cover_the_hooks():
+    assert set(HOOK_CALLS) == set(_hooked())
+
+
+@pytest.mark.parametrize("name", _hooked())
+def test_traced_hook_reads_the_real_result(name, tmp_path):
+    # a hook reads fields of its function's result (`.iterations`,
+    # `.feasible`, `report.matvecs`, ...); a renamed field passes every
+    # other test but makes each traced batch raise
+    module_name, qualname = name.split(".", 1)
+    owner = importlib.import_module(f"momentforge.{module_name}")
+    for part in qualname.split("."):
+        owner = getattr(owner, part)
+    args = HOOK_CALLS[name](tmp_path)
+    result = owner(*args)
+    counts = defaultdict(int)
+    _tracing().TRACED[module_name][qualname](counts, args, result)
+    assert counts and all(isinstance(v, int) for v in counts.values()), dict(counts)
 
 
 def _dotted(node):

@@ -3,7 +3,10 @@ import functools
 import gzip
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +509,21 @@ class TestDpSynthCommand:
             assert again["release"] == payload["release"]
 
 
+    @pytest.mark.parametrize("columns,dim", [(3, 2), (2, 3), (2, 1), (1, 2)])
+    def test_dim_must_match_the_file(self, tmp_path, capsys, columns, dim):
+        data_path = tmp_path / "data.csv"
+        values = np.random.default_rng(8).uniform(-1, 1, (40, columns)).squeeze()
+        np.savetxt(data_path, values, fmt="%.8f", delimiter=",")
+        out, report = tmp_path / "q.csv", tmp_path / "r.json"
+        code = main([
+            "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
+            "--seed", "1", "--dim", str(dim), "--out", str(out), "--report", str(report),
+        ])
+        assert code == EXIT_VALIDATION
+        assert f"--dim {dim}" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+
+
 class TestSdeCommand:
     def test_small_matrix(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -606,6 +624,22 @@ class TestExperimentCommand:
         for row in rows:
             n = int(row["n"])
             assert float(row["expected_bound"]) == pytest.approx(expected_error_curve(n, 0.5, 1.0 / n**2))
+
+    @pytest.mark.parametrize("bounds", [["--nmin", "0"], ["--nmin", "-4"], ["--nmin", "64", "--nmax", "32"]])
+    def test_bad_n_range_is_validation(self, tmp_path, bounds):
+        # a subprocess with a timeout, so that a sweep that never ends fails
+        # the test rather than hanging it
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "rows.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "momentforge.cli", "experiment-dp", "--dist", "sine", *bounds,
+             "--trials", "1", "--seed", "0", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_VALIDATION, run.stderr
+        assert "--nm" in run.stderr
+        assert not out.exists()
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -22,7 +22,6 @@ from momentforge import recovery
 from momentforge.dpsynth import PrivacyBudget, dp_synthesize
 from momentforge.experiments import sample_generator
 from momentforge.recovery import (
-    RecoveryConfig,
     DenseBasis,
     KroneckerBasis,
     NufftBasis,
@@ -433,46 +432,44 @@ class TestDpFitIterates:
 
 class TestWeightedQp:
     def test_point_mass_at_grid_node(self):
-        cfg = RecoveryConfig(k=4)
+        grid = Grid.chebyshev(default_grid_size(4))
         node_index = 2
-        node = cfg.grid.points[node_index]
+        node = grid.points[node_index]
         moments = cheb_moments(DiscreteDistribution.point_mass(node), 4)
-        solution = solve_weighted_qp(moments, cfg)
+        solution = solve_weighted_qp(moments, NufftBasis(grid.points, 4))
         assert solution.objective <= 1e-12
         assert solution.weights[node_index] >= 1 - 1e-6
 
     def test_zero_moments_single_node(self):
-        cfg = RecoveryConfig(k=1)
         moments = MomentVector(np.zeros(1))
-        solution = solve_weighted_qp(moments, cfg)
+        solution = solve_weighted_qp(moments, NufftBasis(Grid.chebyshev(default_grid_size(1)).points, 1))
         assert solution.objective <= 1e-12
 
     def test_zero_moments_symmetric_grid(self):
-        cfg = RecoveryConfig(k=1, g=8)
-        solution = solve_weighted_qp(MomentVector(np.zeros(1)), cfg)
+        solution = solve_weighted_qp(MomentVector(np.zeros(1)), NufftBasis(Grid.chebyshev(8).points, 1))
         assert solution.objective <= 1e-12
 
     def test_exact_moments_of_grid_supported(self):
         rng = np.random.default_rng(11)
-        cfg = RecoveryConfig(k=8)
-        picks = rng.choice(cfg.g, size=3, replace=False)
+        grid = Grid.chebyshev(default_grid_size(8))
+        picks = rng.choice(grid.size, size=3, replace=False)
         weights = rng.dirichlet(np.ones(3))
-        p = DiscreteDistribution(cfg.grid.points[picks], weights)
-        solution = solve_weighted_qp(cheb_moments(p, 8), cfg)
+        p = DiscreteDistribution(grid.points[picks], weights)
+        solution = solve_weighted_qp(cheb_moments(p, 8), NufftBasis(grid.points, 8))
         assert solution.objective <= 1e-10
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(5)
         moments = cheb_moments(random_distribution(rng, 5), 12)
         noisy = MomentVector(moments.values + rng.normal(0, 0.02, 12))
-        solution = solve_weighted_qp(noisy, RecoveryConfig(k=12))
+        solution = solve_weighted_qp(noisy, NufftBasis(Grid.chebyshev(default_grid_size(12)).points, 12))
         assert solution.trace.size == solution.iterations + 1
         assert np.all(np.diff(solution.trace) <= 1e-15)
 
 
 class TestRecoverDistribution:
     def test_mass_lands_near_top_node(self):
-        result = recover_distribution(MomentVector(np.array([1.0])), cfg=RecoveryConfig(k=1, g=8))
+        result = recover_distribution(MomentVector(np.array([1.0])), grid=Grid.chebyshev(8))
         top = result.distribution.support[np.argmax(result.distribution.weights)]
         assert top == pytest.approx(math.cos(math.pi / 16))
         assert result.distribution.weights.max() >= 1 - 1e-6
@@ -539,34 +536,33 @@ class TestMomentLp:
         assert solution.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_supported_target(self):
-        cfg = RecoveryConfig(k=6, g=lp_grid_size(6))
+        grid = Grid.chebyshev(lp_grid_size(6))
         rng = np.random.default_rng(4)
-        picks = rng.choice(cfg.g, size=4, replace=False)
-        p = DiscreteDistribution(cfg.grid.points[picks], rng.dirichlet(np.ones(4)))
+        picks = rng.choice(grid.size, size=4, replace=False)
+        p = DiscreteDistribution(grid.points[picks], rng.dirichlet(np.ones(4)))
         moments = cheb_moments(p, 6)
-        solution = solve_moment_lp(moments, np.full(6, 1e-6), cfg)
+        solution = solve_moment_lp(moments, np.full(6, 1e-6), grid)
         assert solution.feasible
         assert solution.max_violation <= 1e-9
 
     @pytest.mark.parametrize("k", [6, 12, 24])
     @pytest.mark.parametrize("tol", [1e-6, 1e-11])
     def test_tight_boxes_on_grid_supported_targets(self, k, tol):
-        cfg = RecoveryConfig(k=k, g=lp_grid_size(k))
+        grid = Grid.chebyshev(lp_grid_size(k))
         rng = np.random.default_rng(40 + k)
-        picks = rng.choice(cfg.g, size=4, replace=False)
-        p = DiscreteDistribution(cfg.grid.points[picks], rng.dirichlet(np.ones(4)))
+        picks = rng.choice(grid.size, size=4, replace=False)
+        p = DiscreteDistribution(grid.points[picks], rng.dirichlet(np.ones(4)))
         moments = cheb_moments(p, k)
-        solution = solve_moment_lp(moments, np.full(k, tol), cfg)
+        solution = solve_moment_lp(moments, np.full(k, tol), grid)
         assert solution.feasible
         # certificate recomputed from the Chebyshev table, not the fit's map
-        achieved = cheb_t_table(k, cfg.grid.points)[1:] @ solution.weights
+        achieved = cheb_t_table(k, grid.points)[1:] @ solution.weights
         assert np.all(np.abs(achieved - moments.values) <= tol + 1e-9)
 
     def test_infeasible_flagged(self):
         # no distribution has first moment 1 and second moment -1
         moments = MomentVector(np.array([1.0, -1.0]))
-        cfg = RecoveryConfig(k=2, g=8)
-        solution = solve_moment_lp(moments, np.full(2, 1e-4), cfg)
+        solution = solve_moment_lp(moments, np.full(2, 1e-4), Grid.chebyshev(8))
         assert not solution.feasible
         assert solution.max_violation > 1e-9
 
@@ -577,12 +573,17 @@ class TestMomentLp:
 
 class TestConfig:
     def test_default_grid_size(self):
-        cfg = RecoveryConfig(k=16)
-        assert cfg.g == math.ceil(16**1.5)
+        assert default_grid_size(16) == math.ceil(16**1.5)
 
     def test_grid_must_cover_degree(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(k=8, g=4)
+        moments = cheb_moments(DiscreteDistribution.point_mass(0.2), 8)
+        small = Grid.chebyshev(4)
+        with pytest.raises(ValueError, match="at least k"):
+            recover_distribution(moments, grid=small)
+        with pytest.raises(ValueError, match="at least k"):
+            solve_moment_lp(moments, np.full(8, 1e-3), small)
+        with pytest.raises(ValueError, match="at least k"):
+            solve_weighted_qp(moments, NufftBasis(small.points, 8))
 
     def test_lp_grid_size_formula(self):
         assert lp_grid_size(16) == math.ceil(16**1.5 * math.sqrt(1 + math.log(16)))

@@ -54,14 +54,6 @@ class TestLinearOperator:
         op.apply_block(np.ones((3, 5)))
         assert op.matvec_count == 6
 
-    def test_scaled_shares_counter(self):
-        op = LinearOperator.from_dense(2 * np.eye(3))
-        half = op.scaled(0.5)
-        out = half.apply(np.ones(3))
-        assert out == pytest.approx(np.ones(3))
-        assert op.matvec_count == 1
-        assert half.matvec_count == 1
-
     def test_linearity_and_symmetry_spot_check(self):
         rng = np.random.default_rng(0)
         a = random_symmetric(rng, 8, norm_one=False)
@@ -152,35 +144,30 @@ class TestSchedule:
 
 
 class TestHutchinson:
-    def _cfg(self, seed=0, C=0.0):
-        return SdeConfig(epsilon=0.5, delta=0.1, seed=seed, probe_constant=C, degree_constant=8)
-
     def test_identity_is_exact(self):
         op = LinearOperator.from_dense(np.eye(16))
-        moments, used, _ = hutchinson_cheb_moments(op, self._cfg(), k=6)
+        moments, used = hutchinson_cheb_moments(op, np.ones(6, dtype=int), 0)
         assert moments.values == pytest.approx(np.ones(6), abs=0)
 
     def test_sign_diagonal_even_moments(self):
         diag = np.array([1.0, -1.0] * 8)
         op = LinearOperator.from_diagonal(diag)
-        moments, _, _ = hutchinson_cheb_moments(op, self._cfg(seed=4), k=8)
+        moments, _ = hutchinson_cheb_moments(op, np.ones(8, dtype=int), 4)
         assert moments.values[1::2] == pytest.approx(np.ones(4), abs=0)
 
     def test_matvec_accounting(self):
         rng = np.random.default_rng(6)
         op = LinearOperator.from_dense(random_symmetric(rng, 32))
-        cfg = SdeConfig(epsilon=0.5, delta=0.1, seed=1, probe_constant=0.05, degree_constant=8)
-        schedule = probe_schedule(32, 16, cfg.gamma, cfg.alpha, cfg.probe_constant)
-        moments, used, reported = hutchinson_cheb_moments(op, cfg, k=16)
-        assert np.array_equal(schedule, reported)
+        cfg = SdeConfig(epsilon=0.5, delta=0.1, probe_constant=0.05, degree_constant=8)
+        schedule = probe_schedule(32, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
+        moments, used = hutchinson_cheb_moments(op, schedule, 1)
+        assert moments.k == 16
         assert used == schedule_matvec_cost(schedule)
         assert op.matvec_count == used
 
     def test_single_probe_costs_half_k(self):
         op = LinearOperator.from_dense(np.eye(8))
-        cfg = self._cfg()
-        moments, used, schedule = hutchinson_cheb_moments(op, cfg, k=12)
-        assert np.all(schedule == 1)
+        moments, used = hutchinson_cheb_moments(op, np.ones(12, dtype=int), 0)
         assert used == 6
 
     @pytest.mark.parametrize("k", [1, 2, 5, 16])
@@ -196,18 +183,53 @@ class TestHutchinson:
         else:
             build, entries = LinearOperator.from_diagonal, rng.uniform(-1, 1, n)
         schedule = np.arange(k + 3, 3, -1)
-        cfg = self._cfg(seed=k)
         op = build(entries)
-        moments, used, reported = hutchinson_cheb_moments(op, cfg, k=k, schedule=schedule)
-        expected = hutchinson_three_term(build(entries), cfg.seed, k, schedule)
+        moments, used = hutchinson_cheb_moments(op, schedule, k)
+        expected = hutchinson_three_term(build(entries), k, k, schedule)
         assert np.max(np.abs(moments.values - expected)) <= 1e-12
-        assert reported is schedule
         assert used == schedule[0::2].sum() == op.matvec_count
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    def test_norm_bound_matches_a_prescaled_operator(self, kind):
+        # the recurrence multiplies A's products by 1/S and 2/S; since
+        # doubling is exact, the moments equal bit for bit those of an
+        # operator that returns (1/S)(A V), run with S = 1
+        rng = np.random.default_rng(53)
+        n, bound = 40, 2.7
+        if kind == "dense":
+            entries = random_symmetric(rng, n, norm_one=False)
+            product = lambda v: entries @ v
+            op = LinearOperator.from_dense(entries)
+        else:
+            entries = rng.uniform(-2, 2, n)
+            product = lambda v: (entries[:, None] if v.ndim == 2 else entries) * v
+            op = LinearOperator.from_diagonal(entries)
+        prescaled = LinearOperator(n, lambda v: (1.0 / bound) * product(v))
+        schedule = np.array([9, 8, 8, 6, 5, 5, 3])
+        moments, used = hutchinson_cheb_moments(op, schedule, 12, norm_bound=bound)
+        expected, expected_used = hutchinson_cheb_moments(prescaled, schedule, 12)
+        assert np.array_equal(moments.values, expected.values)
+        assert used == expected_used == op.matvec_count == schedule_matvec_cost(schedule)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_norm_bound_refused(self, bound):
+        op = LinearOperator.from_diagonal(np.linspace(-1, 1, 64))
+        with pytest.raises(ValueError, match="norm bound"):
+            hutchinson_cheb_moments(op, np.ones(4, dtype=int), 0, norm_bound=bound)
+        with pytest.raises(ValueError, match="norm bound"):
+            estimate_spectral_density(op, epsilon=0.5, delta=0.2, seed=0, norm_bound=bound)
+        assert op.matvec_count == 0
 
     def test_increasing_schedule_refused(self):
         op = LinearOperator.from_dense(np.eye(8))
         with pytest.raises(ValueError, match="nonincreasing"):
-            hutchinson_cheb_moments(op, self._cfg(), k=3, schedule=np.array([1, 2, 2]))
+            hutchinson_cheb_moments(op, np.array([1, 2, 2]), 0)
+
+    @pytest.mark.parametrize("schedule", [[], [0, 0], [2, 0]])
+    def test_empty_or_zero_schedule_refused(self, schedule):
+        op = LinearOperator.from_diagonal(np.ones(4))
+        with pytest.raises(ValueError, match="nonempty, positive"):
+            hutchinson_cheb_moments(op, np.array(schedule, dtype=int), 0)
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(11)
@@ -215,10 +237,9 @@ class TestHutchinson:
         op = LinearOperator.from_dense(a)
         k = 5
         exact = np.array([np.mean(cheb_t_table(k, np.linalg.eigvalsh(a))[j]) for j in range(1, k + 1)])
-        cfg = SdeConfig(epsilon=0.5, delta=0.1, seed=21, probe_constant=0.0, degree_constant=8)
         probes = 100_000
         schedule = np.full(k, probes)
-        moments, _, _ = hutchinson_cheb_moments(op, cfg, k=k, schedule=schedule)
+        moments, _ = hutchinson_cheb_moments(op, schedule, 21)
         # standard error of the estimator on an 8x8 matrix
         for j in range(k):
             se = math.sqrt(2.0 / (probes * 8))
@@ -240,8 +261,7 @@ class TestHutchinson:
         failures = 0
         trials = 30
         for seed in range(trials):
-            cfg = SdeConfig(epsilon=0.5, delta=0.1, seed=seed, probe_constant=16.0, degree_constant=4)
-            moments, _, _ = hutchinson_cheb_moments(op, cfg, k=k, schedule=schedule)
+            moments, _ = hutchinson_cheb_moments(op, schedule, seed)
             j = np.arange(1, k + 1)
             if np.any(np.abs(moments.values - exact) > np.sqrt(j) * gamma):
                 failures += 1
@@ -253,8 +273,7 @@ class TestHutchinson:
         rng = np.random.default_rng(29)
         diag = rng.uniform(-1, 1, 32)
         op = LinearOperator.from_diagonal(diag)
-        cfg = SdeConfig(epsilon=0.5, delta=0.1, seed=3, probe_constant=0.0, degree_constant=8)
-        moments, _, _ = hutchinson_cheb_moments(op, cfg, k=10)
+        moments, _ = hutchinson_cheb_moments(op, np.ones(10, dtype=int), 3)
         exact = np.array([np.mean(cheb_t_table(10, diag)[j]) for j in range(1, 11)])
         assert moments.values == pytest.approx(exact, abs=1e-12)
 
@@ -430,7 +449,7 @@ class TestEstimatePipeline:
         n = 128
         diag = np.random.default_rng(43).uniform(-0.9, 0.9, n)
         op = LinearOperator.from_diagonal(diag)
-        cfg = SdeConfig(epsilon=0.5, delta=0.2, seed=5, probe_constant=0.25, degree_constant=8.0)
+        cfg = SdeConfig(epsilon=0.5, delta=0.2, probe_constant=0.25, degree_constant=8.0)
         schedule = probe_schedule(n, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
         power_iters = power_iterations(n, cfg.alpha)
         assert power_iters == 16
