@@ -7,8 +7,9 @@ byte-identical outputs. The MOMENTFORGE_SEED environment variable supplies
 a default seed, else it is 0; a value that is not an integer exits 3. The
 sde subcommand exits 3 on a matrix with a non-finite entry or one that is
 not symmetric within 1e-8; dp-synth when `--dim` differs from the data
-file's column count; experiment-dp when `--nmin` is below 2, the
-pipeline's smallest n, or `--nmax` below `--nmin`.
+file's column count; experiment-dp when `--nmin` is below 2 or `--nmax`
+below `--nmin`, or when some n in the sweep has epsilon * n at most 1,
+which the pipeline rejects (n = 2 at the default epsilon 0.5).
 
 The dp-synth report has two parts. `release` holds only what the noisy
 moments and public parameters determine, so it can be published with the

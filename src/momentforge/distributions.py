@@ -245,6 +245,11 @@ class Grid:
     def d(self):
         return 1 if self.points.ndim == 1 else self.points.shape[1]
 
+    @property
+    def half_steps(self):
+        """Steps per half interval of a uniform or tensor grid: 1 / spacing."""
+        return int(round(1.0 / self.spacing))
+
     @classmethod
     def uniform(cls, half_steps):
         """Points -1, -1 + 1/half_steps, ..., 1 (2*half_steps + 1 of them)."""
@@ -279,24 +284,19 @@ def _round_uniform_axis(values, half_steps, axis_points):
 
 def round_to_grid(points, grid):
     """Round each point to the nearest grid value, ties toward the smaller."""
-    if grid.kind == UNIFORM:
-        half_steps = int(round(1.0 / grid.spacing))
-        idx = _round_uniform_axis(points, half_steps, grid.points)
-        return grid.points[idx]
-    if grid.kind == TENSOR_UNIFORM:
-        pts = np.asarray(points, dtype=float)
-        half_steps = int(round(1.0 / grid.spacing))
-        out = np.empty_like(pts)
-        for axis in range(pts.shape[1]):
-            idx = _round_uniform_axis(pts[:, axis], half_steps, grid.axis_points)
-            out[:, axis] = grid.axis_points[idx]
-        return out
-    raise ValueError("rounding is defined on uniform grids")
+    return grid.points[grid_round_indices(points, grid)]
 
 
 def grid_round_indices(points, grid):
-    """Index form of round_to_grid (uniform 1-D grids)."""
-    if grid.kind != UNIFORM:
-        raise ValueError("index rounding is defined on uniform 1-D grids")
-    half_steps = int(round(1.0 / grid.spacing))
-    return _round_uniform_axis(points, half_steps, grid.points)
+    """Index form of round_to_grid: the row of `grid.points` each point
+    rounds to. A tensor grid rounds each coordinate on its axis and returns
+    the flat C-order index of the result."""
+    if grid.kind == UNIFORM:
+        return _round_uniform_axis(points, grid.half_steps, grid.points)
+    if grid.kind != TENSOR_UNIFORM:
+        raise ValueError("rounding is defined on uniform grids")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != grid.d:
+        raise ValueError(f"expected an (n, {grid.d}) array of points")
+    axes = [_round_uniform_axis(pts[:, a], grid.half_steps, grid.axis_points) for a in range(grid.d)]
+    return np.ravel_multi_index(axes, (grid.axis_points.size,) * grid.d)

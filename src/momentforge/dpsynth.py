@@ -8,8 +8,9 @@ moment map in double precision without a dense table: the 1-D grid through
 `recovery.NufftBasis`, the tensor grid through `recovery.KroneckerBasis`,
 each built once per release for both the exact moments and the fit.
 Everything after the noise draw is `synthesize_from_noisy_moments`, the one
-fit of both pipelines: a pure function of the noisy moments and public
-parameters, so a 1-D or tensor run can be replayed without the raw data.
+fit of both pipelines: a pure function of the release, which fixes its own
+grid (ceil(degree / 2) half steps per axis, from k in 1-D or m per axis),
+so a 1-D or tensor run can be replayed from its noisy moments alone.
 The mechanism's seed is a secret key, not part of the release: with it and
 the public parameters anyone can subtract the noise.
 
@@ -36,13 +37,11 @@ from scipy.special import ndtr
 
 from ._normal import seeded_standard_normals
 from .distributions import (
-    TENSOR_UNIFORM,
     DiscreteDistribution,
     Grid,
     MomentVector,
     grid_round_indices,
     multi_index_array,
-    round_to_grid,
 )
 from .recovery import KroneckerBasis, NufftBasis, fit_simplex, solve_weighted_qp
 
@@ -220,26 +219,32 @@ def _clamp_data(data):
     return np.clip(arr, -1.0, 1.0), clamped
 
 
-def synthesize_from_noisy_moments(noisy, grid):
-    """Post-processing half of both pipelines: fit the grid distribution to
-    the released noisy moments. Pure in (noisy moments, public parameters).
+def _release_grid(degree, d):
+    """The grid of a release of degree k (1-D) or m (per axis): ceil(degree / 2)
+    half steps per axis, uniform for d = 1 and tensor for d in {2, 3}; so
+    degree ceil(2 r) gives ceil(r) half steps."""
+    half_steps = math.ceil(degree / 2)
+    return Grid.uniform(half_steps) if d == 1 else Grid.tensor_uniform(half_steps, d)
 
-    A 1-D release (`indices` None) fits on `grid`, the uniform grid of its
-    pipeline. A tensor release must carry `multi_index_array(m, d)` as its
-    indices and come with the pipeline's tensor grid,
-    `Grid.tensor_uniform(ceil(m / 2), d)`; anything else is a ValueError.
-    Returns the distribution and the fit's `QPSolution`.
+
+def synthesize_from_noisy_moments(noisy):
+    """Post-processing half of both pipelines: fit the grid distribution to
+    the released noisy moments. Pure in the release, which fixes its own
+    grid (`_release_grid`).
+
+    A 1-D release (`indices` None) of k moments fits on
+    `Grid.uniform(ceil(k / 2))`. A tensor release must carry
+    `multi_index_array(m, d)` as its indices, else it is a ValueError, and
+    fits on `Grid.tensor_uniform(ceil(m / 2), d)`. Returns the distribution
+    and the fit's `QPSolution`.
     """
     if noisy.indices is None:
+        grid = _release_grid(noisy.k, 1)
         return _fit_grid(noisy, grid, NufftBasis(grid.points, noisy.k))
     m, d = int(noisy.indices.max()), noisy.indices.shape[1]
     if not np.array_equal(noisy.indices, multi_index_array(m, d)):
         raise ValueError("tensor release indices must be multi_index_array(m, d)")
-    half_steps = math.ceil(m / 2)
-    if grid.kind != TENSOR_UNIFORM or not np.array_equal(
-        grid.points, Grid.tensor_uniform(half_steps, d).points
-    ):
-        raise ValueError(f"a degree-{m} tensor release needs Grid.tensor_uniform({half_steps}, {d})")
+    grid = _release_grid(m, d)
     return _fit_grid(noisy, grid, KroneckerBasis(grid.axis_points, m, d))
 
 
@@ -272,14 +277,11 @@ def dp_synthesize(data, budget, seed):
     if values.ndim != 1:
         raise ValueError("1-D pipeline expects a flat data vector")
     n = values.size
-    if n < 2:
-        raise ValueError("need at least two data points")
     en = budget.epsilon * n
-    if math.ceil(en) < 1 or en < 1.0:
-        raise ValueError("epsilon * n below 1 leaves a degenerate grid")
-    half_steps = math.ceil(en)
-    grid = Grid.uniform(half_steps)
+    if en <= 1.0:
+        raise ValueError("epsilon * n must exceed 1")
     k = math.ceil(2.0 * en)
+    grid = _release_grid(k, 1)
     sigma2 = budget.sigma2(n, k)
 
     idx = grid_round_indices(values, grid)
@@ -304,7 +306,7 @@ def dp_synthesize(data, budget, seed):
         objective=solution.objective,
         iterations=solution.iterations,
         converged=solution.converged,
-        rounding_bound=1.0 / (2.0 * half_steps),
+        rounding_bound=1.0 / (2.0 * grid.half_steps),
     )
     return DpSynthesisResult(distribution=dist, noisy_moments=noisy, report=report)
 
@@ -328,24 +330,14 @@ def dp_synthesize_multi(data, budget, seed):
     if n < 2:
         raise ValueError("need at least two data points")
     en = budget.epsilon * n
-    root = en ** (1.0 / d)
-    half_steps = math.ceil(root)
-    m = math.ceil(2.0 * root)
-    grid = Grid.tensor_uniform(half_steps, d)
+    m = math.ceil(2.0 * en ** (1.0 / d))
+    grid = _release_grid(m, d)
     s = norm_inverse_sum(m, d)
     sigma2 = budget.sigma2_multi(n, m, d)
 
-    rounded = round_to_grid(points, grid)
+    counts = np.bincount(grid_round_indices(points, grid), minlength=grid.size)
     basis = KroneckerBasis(grid.axis_points, m, d)
-    # accumulate the rounded data's weights on the tensor grid
-    axis = grid.axis_points
-    flat_idx = np.zeros(n, dtype=np.int64)
-    for coord in range(d):
-        pos = np.searchsorted(axis, rounded[:, coord])
-        flat_idx = flat_idx * axis.size + pos
-    counts = np.bincount(flat_idx, minlength=grid.points.shape[0])
-    grid_weights = counts / n
-    exact = basis.apply(grid_weights)
+    exact = basis.apply(counts / n)
     noise, variances = gaussian_noise_vector(basis.indices, sigma2, seed)
     noisy = NoisyMoments(values=exact + noise, variances=variances, indices=basis.indices)
 
@@ -353,7 +345,7 @@ def dp_synthesize_multi(data, budget, seed):
     report = DpSynthesisReport(
         n=n,
         k=basis.k,
-        r=grid.points.shape[0],
+        r=grid.size,
         sigma2=sigma2,
         gamma=math.sqrt(max(solution.objective, 0.0)),
         expected_bound=float("nan"),
@@ -364,6 +356,6 @@ def dp_synthesize_multi(data, budget, seed):
         converged=solution.converged,
         d=d,
         norm_sum=s,
-        rounding_bound=d / (2.0 * half_steps),
+        rounding_bound=d / (2.0 * grid.half_steps),
     )
     return DpSynthesisResult(distribution=dist, noisy_moments=noisy, report=report)

@@ -328,13 +328,16 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     )
     n = op.n
     k = cfg.k
-    schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-    power_iters = 0 if norm_bound is not None else power_iterations(n, cfg.alpha)
-    stream_cost = schedule_matvec_cost(schedule) + power_iters
     budget_value = matvec_budget(n, epsilon, delta)
     floor = math.ceil(1.0 / epsilon)
+    # epsilon <= 1/n goes dense before the k-entry schedule is built: it may not fit in memory
+    dense = epsilon <= 1.0 / n
+    if not dense:
+        schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
+        power_iters = 0 if norm_bound is not None else power_iterations(n, cfg.alpha)
+        dense = schedule_matvec_cost(schedule) + power_iters >= n
 
-    if epsilon <= 1.0 / n or stream_cost >= n:
+    if dense:
         start = op.matvec_count
         eigs = np.sort(_dense_read_density(op))
         report = SdeReport(

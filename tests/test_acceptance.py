@@ -517,7 +517,7 @@ def test_criterion_10_multivariate():
         variances=np.zeros(indices.shape[0]),
         indices=indices,
     )
-    _, solution = synthesize_from_noisy_moments(exact, grid)
+    _, solution = synthesize_from_noisy_moments(exact)
     gamma = math.sqrt(max(solution.objective, 0.0))
     gamma_ok = gamma <= 1e-8
 

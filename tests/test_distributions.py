@@ -267,11 +267,25 @@ class TestGrids:
         rounded = round_to_grid(xs, grid)
         assert np.max(np.abs(rounded - xs)) <= grid.spacing / 2 + 1e-12
 
-    def test_round_indices_match_values(self):
-        grid = Grid.uniform(5)
-        xs = np.random.default_rng(1).uniform(-1, 1, 100)
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.uniform(5), Grid.tensor_uniform(3, 2), Grid.tensor_uniform(2, 3)],
+        ids=["uniform", "tensor-d2", "tensor-d3"],
+    )
+    def test_round_indices_match_values(self, grid):
+        # against the nearest axis value found by brute force on each
+        # coordinate, on random points and on the grid's own points
+        shape = 100 if grid.d == 1 else (100, grid.d)
+        xs = np.concatenate([np.random.default_rng(1).uniform(-1, 1, shape), grid.points])
+        axis = Grid.uniform(grid.half_steps).points
+        nearest = axis[np.argmin(np.abs(xs[..., None] - axis), axis=-1)]
         idx = grid_round_indices(xs, grid)
-        assert np.array_equal(grid.points[idx], round_to_grid(xs, grid))
+        assert np.array_equal(grid.points[idx], nearest)
+        assert np.array_equal(round_to_grid(xs, grid), nearest)
+
+    def test_tensor_rounding_checks_dimension(self):
+        with pytest.raises(ValueError):
+            grid_round_indices(np.zeros((4, 3)), Grid.tensor_uniform(2, 2))
 
     def test_tensor_round_per_coordinate(self):
         grid = Grid.tensor_uniform(2, 2)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import norm as scipy_norm
 
+from momentforge import dpsynth
 from momentforge._normal import seeded_standard_normals
 from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import (
@@ -276,7 +277,7 @@ class TestPipeline1D:
         grid = Grid.uniform(math.ceil(budget.epsilon * n))
         data = grid.points[rng.integers(0, grid.size, n)]
         k = math.ceil(2 * budget.epsilon * n)
-        dist, solution = synthesize_from_noisy_moments(exact_release(data, k), grid)
+        dist, solution = synthesize_from_noisy_moments(exact_release(data, k))
         p = DiscreteDistribution.uniform_over(data)
         assert w1_distance(p, dist) <= 36.0 / k + 1e-6
         assert math.sqrt(solution.objective) <= 1e-7
@@ -306,12 +307,11 @@ class TestPipeline1D:
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(2).uniform(-1, 1, 50)
         result = dp_synthesize(data, budget, seed=9)
-        grid = Grid.uniform(math.ceil(budget.epsilon * 50))
         replay = NoisyMoments(
             values=result.noisy_moments.values.copy(),
             variances=result.noisy_moments.variances.copy(),
         )
-        dist, _ = synthesize_from_noisy_moments(replay, grid)
+        dist, _ = synthesize_from_noisy_moments(replay)
         assert np.array_equal(dist.support, result.distribution.support)
         assert np.array_equal(dist.weights, result.distribution.weights)
 
@@ -325,6 +325,17 @@ class TestPipeline1D:
         budget = PrivacyBudget(epsilon=0.01, delta=0.01)
         with pytest.raises(ValueError):
             dp_synthesize(np.array([0.1, 0.2]), budget, seed=0)
+
+    def test_eps_n_of_one_rejected_before_the_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(dpsynth, "_fit_grid", no_fit)
+            with pytest.raises(ValueError, match="epsilon \\* n must exceed 1"):
+                dp_synthesize(np.array([0.1, 0.2]), budget, seed=0)
+        assert dp_synthesize(np.array([0.1, 0.2, 0.3]), budget, seed=0).report.n == 3
 
     def test_nufft_fit_converges_exactly(self):
         # eps n = 1000 gives a k x r map of 2000 x 2001 entries, applied as
@@ -391,7 +402,7 @@ class TestPipelineMulti:
         grid = Grid.tensor_uniform(math.ceil(root), 2)
         data = grid.points[rng.integers(0, grid.points.shape[0], n)]
         m = math.ceil(2 * root)
-        dist, solution = synthesize_from_noisy_moments(exact_tensor_release(data, m), grid)
+        dist, solution = synthesize_from_noisy_moments(exact_tensor_release(data, m))
         assert math.sqrt(solution.objective) <= 1e-8
         assert dist.d == 2
 
@@ -436,45 +447,37 @@ class TestPipelineMulti:
 
 class TestReplay:
     """`synthesize_from_noisy_moments` is the one fit of both pipelines: a
-    release rebuilt from its values, variances and indices alone, with the
-    grid from the public parameters, replays bit for bit."""
+    release rebuilt from its values, variances and indices alone fixes its
+    own grid and replays bit for bit."""
 
     @pytest.mark.parametrize(
-        "d,n", [(1, 50), (1, 1024), (2, 64), (2, 1024), (3, 64), (3, 1024)]
+        "d,n", [(1, 50), (1, 51), (1, 1024), (2, 64), (2, 1024), (3, 64), (3, 1024)]
     )
     def test_replay_matches_pipeline(self, d, n):
         budget = PrivacyBudget(epsilon=0.5, delta=1.0 / n**2)
         rng = np.random.default_rng([n, d])
         if d == 1:
             result = dp_synthesize(rng.uniform(-1, 1, n), budget, seed=n)
-            grid = Grid.uniform(math.ceil(budget.epsilon * n))
         else:
             result = dp_synthesize_multi(rng.uniform(-1, 1, (n, d)), budget, seed=n)
-            grid = Grid.tensor_uniform(math.ceil((budget.epsilon * n) ** (1.0 / d)), d)
         released = result.noisy_moments
         replay = NoisyMoments(
             values=released.values.copy(),
             variances=released.variances.copy(),
             indices=None if released.indices is None else released.indices.copy(),
         )
-        dist, solution = synthesize_from_noisy_moments(replay, grid)
+        dist, solution = synthesize_from_noisy_moments(replay)
         assert dist.support.tobytes() == result.distribution.support.tobytes()
         assert dist.weights.tobytes() == result.distribution.weights.tobytes()
         assert solution.objective == result.report.objective
         assert solution.iterations == result.report.iterations
 
-    def test_tensor_replay_rejects_other_indices_or_grid(self):
+    def test_tensor_replay_rejects_other_indices(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(12).uniform(-1, 1, (32, 2))
         noisy = dp_synthesize_multi(data, budget, seed=6).noisy_moments
-        m = int(noisy.indices.max())
-        grid = Grid.tensor_uniform(math.ceil(m / 2), 2)
         reordered = NoisyMoments(
             values=noisy.values[::-1], variances=noisy.variances[::-1], indices=noisy.indices[::-1]
         )
         with pytest.raises(ValueError):
-            synthesize_from_noisy_moments(reordered, grid)
-        for other in (Grid.tensor_uniform(math.ceil(m / 2) + 1, 2), Grid.tensor_uniform(2, 3),
-                      Grid.uniform(math.ceil(m / 2))):
-            with pytest.raises(ValueError):
-                synthesize_from_noisy_moments(noisy, other)
+            synthesize_from_noisy_moments(reordered)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import exact_spectral_density, hutchinson_three_term, jacobi_eigenvalues
 
+from momentforge import sde
 from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import DiscreteDistribution, w1_distance
 from momentforge.sde import (
@@ -379,6 +380,18 @@ class TestEstimatePipeline:
         result = estimate_spectral_density(op, epsilon=0.2, delta=0.1, seed=0)
         assert result.report.path == "dense"
         assert result.report.matvecs == 4
+
+    def test_dense_path_builds_no_probe_schedule(self, monkeypatch):
+        # epsilon <= 1/n decides the dense path before any probe is counted:
+        # the schedule would hold k = ceil(80 / epsilon) entries
+        def no_schedule(*args):
+            raise AssertionError("probe_schedule ran on the dense path")
+
+        monkeypatch.setattr(sde, "probe_schedule", no_schedule)
+        op = LinearOperator.from_dense(np.diag([0.5, -0.25]))
+        result = estimate_spectral_density(op, epsilon=1e-7, delta=0.1, seed=0)
+        assert result.report.path == "dense"
+        assert np.array_equal(result.distribution.support, [-0.25, 0.5])
 
     def test_constant_spectrum_spike(self):
         c = 0.75
