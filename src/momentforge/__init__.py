@@ -60,7 +60,6 @@ from .recovery import (
 )
 from .sde import (
     LinearOperator,
-    SdeConfig,
     estimate_spectral_density,
     hutchinson_cheb_moments,
     power_method_bound,

@@ -538,10 +538,12 @@ def solve_moment_lp(moments, per_moment_tol, grid=None):
     not depend on the tolerances' common scale; the boxes are then checked
     on its image. A largest box excess above 1e-9 marks the problem
     infeasible-at-tolerance. `iterations` counts the fit's outer steps.
+    Every tolerance must be positive, and a NaN one is refused; an infinite
+    tolerance leaves its moment without a box.
     """
     k = moments.k
     tols = np.broadcast_to(np.asarray(per_moment_tol, dtype=float), (k,))
-    if np.any(tols <= 0):
+    if not np.all(tols > 0):
         raise ValueError("tolerances must be positive")
     if grid is None:
         grid = Grid.chebyshev(lp_grid_size(k))

@@ -12,6 +12,9 @@ T_{2d+1} = 2 T_{d+1} T_d - T_1 (the kernel polynomial method's halving),
 so degree k costs the probes' recurrence only up to degree ceil(k / 2):
 l_1 + l_3 + l_5 + ... products for the schedule l_1 >= l_2 >= ... >= l_k.
 The power method and the probes draw from independent seeded streams.
+An operator has one product, on an (n, l) block of columns, and one count
+of the columns it was applied to; the report's product count is that
+count's rise over the run.
 When the probe schedule would cost more products than reading the
 matrix column by column, the pipeline reads the matrix instead, charging
 n products, and eigendecomposes it directly: one LAPACK `dsyevd` call on
@@ -32,12 +35,13 @@ from .recovery import lp_grid_size, solve_moment_lp
 
 
 class LinearOperator:
-    """A symmetric matrix seen only through matrix-vector products.
+    """A symmetric matrix seen only through products with blocks of columns.
 
-    Carries the dimension and `matvec_count`, a monotone product counter.
-    Linearity and symmetry are the caller's promise; tests spot-check both
-    on random probes. `matvec` returns a new array, which the estimator
-    scales in place.
+    `matvec` takes an (n, l) float array, l >= 1, and returns A times it as
+    a new (n, l) array, which the estimator scales in place; it is never
+    given a 1-D vector. Carries the dimension and `matvec_count`, a monotone
+    counter of the columns multiplied. Linearity and symmetry are the
+    caller's promise; tests spot-check both on random probes.
     """
 
     def __init__(self, n, matvec):
@@ -47,13 +51,6 @@ class LinearOperator:
         self._matvec = matvec
         self.matvec_count = 0
         self._dense = None  # the matrix itself, when built from one
-
-    def apply(self, vector):
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError("vector shape mismatch")
-        self.matvec_count += 1
-        return np.asarray(self._matvec(v), dtype=float)
 
     def apply_block(self, block):
         """Apply to each column; counts one product per column."""
@@ -76,49 +73,7 @@ class LinearOperator:
     @classmethod
     def from_diagonal(cls, diag):
         d = np.asarray(diag, dtype=float)
-
-        def matvec(v):
-            if v.ndim == 2:
-                return d[:, None] * v
-            return d * v
-
-        return cls(d.size, matvec)
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    """Run parameters: target accuracy, failure budget and the derived
-    degree, per-moment accuracy, per-degree failure share and grid size."""
-
-    epsilon: float
-    delta: float
-    probe_constant: float = 16.0  # C in the probe schedule
-    degree_constant: float = 80.0  # k = ceil(degree_constant / epsilon)
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.probe_constant < 0:
-            raise ValueError("probe constant must be nonnegative")
-
-    @property
-    def k(self):
-        return max(1, math.ceil(self.degree_constant / self.epsilon))
-
-    @property
-    def gamma(self):
-        k = self.k
-        return 1.0 / (k * math.sqrt(1.0 + math.log(k)))
-
-    @property
-    def alpha(self):
-        return self.delta / self.k
-
-    @property
-    def grid_size(self):
-        return lp_grid_size(self.k)
+        return cls(d.size, lambda v: d[:, None] * v)
 
 
 def probe_schedule(n, k, gamma, alpha, probe_constant):
@@ -133,13 +88,6 @@ def schedule_matvec_cost(schedule):
     the recurrence runs on the l_{2d-1} probes whose moments still need it,
     so the cost is l_1 + l_3 + l_5 + ..., about half the schedule's sum."""
     return int(np.sum(schedule[0::2]))
-
-
-@dataclass
-class PowerMethodBound:
-    value: float
-    is_zero: bool
-    iterations: int
 
 
 def power_iterations(n, alpha):
@@ -172,30 +120,30 @@ def power_iterations(n, alpha):
 
 
 def power_method_bound(op, iters, seed):
-    """S = 2 x (largest Rayleigh-quotient estimate seen); norm <= S <= 2 norm
-    with probability at least 1 - alpha once iters >= power_iterations(n,
-    alpha). A zero operator yields the 1e-30 floor, flagged.
+    """Returns S = 2 x (largest Rayleigh-quotient estimate seen) as a float;
+    norm <= S <= 2 norm with probability at least 1 - alpha once iters >=
+    power_iterations(n, alpha). A zero operator yields the 1e-30 floor.
 
     The per-iterate estimate is ||A v|| for unit v, the square root of the
     Rayleigh quotient of A^2, which stays informative when the extreme
-    eigenvalues have opposite signs and similar size.
+    eigenvalues have opposite signs and similar size. The iterate is one
+    (n, 1) column; a zero product ends the run early, so fewer than `iters`
+    products may be taken (`op.matvec_count` counts them).
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(op.n)
+    v = rng.standard_normal((op.n, 1))
     v = v / np.linalg.norm(v)
     best = 0.0
     for _ in range(iters):
-        w = op.apply(v)
+        w = op.apply_block(v)
         wnorm = float(np.linalg.norm(w))
         best = max(best, wnorm)
         if wnorm == 0.0:
             break
         v = w / wnorm
-    if best == 0.0:
-        return PowerMethodBound(value=1e-30, is_zero=True, iterations=iters)
-    return PowerMethodBound(value=2.0 * best, is_zero=False, iterations=iters)
+    return 2.0 * best if best > 0.0 else 1e-30
 
 
 def _check_norm_bound(norm_bound):
@@ -221,14 +169,14 @@ def hutchinson_cheb_moments(op, schedule, seed, norm_bound=1.0):
 
     each sum over the first l_j probes. Degree d advances the first
     l_{2d-1} columns, so the run costs sum_d l_{2d-1} = schedule[0::2].sum()
-    products (`schedule_matvec_cost`). Returns (moments, matvecs used).
+    products (`schedule_matvec_cost`), counted on `op.matvec_count`.
+    Returns the `MomentVector`.
     """
     _check_norm_bound(norm_bound)
     n, k = op.n, len(schedule)
     counts = [int(c) for c in schedule]
     if not counts or counts[-1] < 1 or any(later > earlier for earlier, later in zip(counts, counts[1:])):
         raise ValueError("probe schedule must be nonempty, positive and nonincreasing")
-    start_count = op.matvec_count
     probes = seeded_rademacher(seed, (n, counts[0]))
     t_prev = probes  # T_0 G
     t_cur = op.apply_block(probes)
@@ -252,7 +200,7 @@ def hutchinson_cheb_moments(op, schedule, seed, norm_bound=1.0):
             head = t_cur[:, :even]
             square = np.einsum("ij,ij->", head, head)
             estimates[2 * d - 1] = (2.0 * square - gg[even - 1]) / (even * n)
-    return MomentVector(estimates), op.matvec_count - start_count
+    return MomentVector(estimates)
 
 
 @dataclass
@@ -308,6 +256,9 @@ def _dense_read_density(op):
 def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_constant=16.0, degree_constant=80.0):
     """End-to-end spectral density estimation with W1 error about eps * S.
 
+    The degree is k = ceil(degree_constant / epsilon), the per-moment
+    accuracy gamma = 1 / (k sqrt(1 + ln k)) and the per-degree failure share
+    alpha = delta / k; `probe_constant` is C in `probe_schedule`.
     Chooses, from public parameters alone, between the probe pipeline and
     reading the matrix directly (whichever needs fewer products); the probe
     pipeline scales by the power-method bound, estimates moments, and feeds
@@ -317,49 +268,54 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     An infeasible fit doubles the tolerance once. The power method draws
     from a child of `SeedSequence(seed)`, independent of the probes'
     `PCG64(seed)` stream. A given `norm_bound` must be positive and finite.
+    The report's `matvecs` is the rise of `op.matvec_count` over the call.
     """
     if norm_bound is not None:
         _check_norm_bound(norm_bound)
-    cfg = SdeConfig(
-        epsilon=epsilon,
-        delta=delta,
-        probe_constant=probe_constant,
-        degree_constant=degree_constant,
-    )
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 <= probe_constant < math.inf:
+        raise ValueError("probe constant must be nonnegative and finite")
+    if not 0.0 < degree_constant < math.inf:
+        raise ValueError("degree constant must be positive and finite")
     n = op.n
-    k = cfg.k
+    k = math.ceil(degree_constant / epsilon)
+    gamma = 1.0 / (k * math.sqrt(1.0 + math.log(k)))
+    alpha = delta / k
     budget_value = matvec_budget(n, epsilon, delta)
     floor = math.ceil(1.0 / epsilon)
+    start = op.matvec_count
     # epsilon <= 1/n goes dense before the k-entry schedule is built: it may not fit in memory
     dense = epsilon <= 1.0 / n
     if not dense:
-        schedule = probe_schedule(n, k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-        power_iters = 0 if norm_bound is not None else power_iterations(n, cfg.alpha)
+        schedule = probe_schedule(n, k, gamma, alpha, probe_constant)
+        power_iters = 0 if norm_bound is not None else power_iterations(n, alpha)
         dense = schedule_matvec_cost(schedule) + power_iters >= n
 
     if dense:
-        start = op.matvec_count
         eigs = np.sort(_dense_read_density(op))
         report = SdeReport(
             n=n,
             norm_bound=float(np.max(np.abs(eigs))),
             k=k,
-            gamma=cfg.gamma,
+            gamma=gamma,
             matvecs=op.matvec_count - start,
             budget_formula_value=budget_value,
             floor_matvecs=floor,
             path="dense",
         )
-        return SdeResult(distribution=_rescaled_support(eigs, 1.0), report=report)
+        distribution = DiscreteDistribution.on_real_line(eigs, np.full(n, 1.0 / n))
+        return SdeResult(distribution=distribution, report=report)
 
     if norm_bound is None:
         power_seed = np.random.SeedSequence(seed).spawn(1)[0]
-        power = power_method_bound(op, power_iters, power_seed)
-        norm_bound = power.value
-    moments, used = hutchinson_cheb_moments(op, schedule, seed, norm_bound)
-    grid = Grid.chebyshev(cfg.grid_size)
+        norm_bound = power_method_bound(op, power_iters, power_seed)
+    moments = hutchinson_cheb_moments(op, schedule, seed, norm_bound)
+    grid = Grid.chebyshev(lp_grid_size(k))
     j = np.arange(1, k + 1)
-    tols = np.sqrt(j) * cfg.gamma + j * math.sqrt(2.0 * math.pi) / grid.size
+    tols = np.sqrt(j) * gamma + j * math.sqrt(2.0 * math.pi) / grid.size
     solution = solve_moment_lp(moments, tols, grid)
     doubled = False
     if not solution.feasible:
@@ -367,27 +323,17 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
         solution = solve_moment_lp(moments, 2.0 * tols, grid)
     dist = DiscreteDistribution(grid.points, solution.weights / solution.weights.sum())
     dist = dist.pruned()
-    result = _rescaled_support(dist.support, norm_bound, dist.weights)
     report = SdeReport(
         n=n,
         norm_bound=norm_bound,
         k=k,
-        gamma=cfg.gamma,
-        matvecs=used + power_iters,
+        gamma=gamma,
+        matvecs=op.matvec_count - start,
         budget_formula_value=budget_value,
         floor_matvecs=floor,
         path="hutchinson",
         lp_feasible=solution.feasible,
         tolerance_doubled=doubled,
     )
-    return SdeResult(distribution=result, report=report)
-
-
-def _rescaled_support(support, scale, weights=None):
-    """Distribution with support multiplied by `scale` (eigenvalue axis)."""
-    sup = np.asarray(support, dtype=float)
-    if scale != 1.0:
-        sup = sup * scale
-    if weights is None:
-        weights = np.full(sup.shape[0], 1.0 / sup.shape[0])
-    return DiscreteDistribution.on_real_line(sup, weights)
+    distribution = DiscreteDistribution.on_real_line(dist.support * norm_bound, dist.weights)
+    return SdeResult(distribution=distribution, report=report)

@@ -328,7 +328,7 @@ def test_criterion_6_hutchinson_accuracy():
     trials = 200
     failures = np.zeros(k, dtype=int)
     for seed in range(trials):
-        moments, _ = hutchinson_cheb_moments(op, schedule, seed)
+        moments = hutchinson_cheb_moments(op, schedule, seed)
         failures += (np.abs(moments.values - exact) > np.sqrt(j) * gamma).astype(int)
     allowed = alpha * trials
     ok = bool(np.all(failures <= allowed))

@@ -570,6 +570,13 @@ class TestMomentLp:
         with pytest.raises(ValueError):
             solve_moment_lp(MomentVector(np.array([0.0])), np.array([0.0]))
 
+    def test_rejects_nan_tolerance_and_allows_an_infinite_one(self):
+        moments = MomentVector(np.array([0.3, -0.1]))
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            solve_moment_lp(moments, np.array([np.nan, 1e-3]))
+        # an infinite tolerance is a box with no bound
+        assert solve_moment_lp(moments, np.array([np.inf, 1e-3])).feasible
+
 
 class TestConfig:
     def test_default_grid_size(self):

@@ -10,7 +10,6 @@ from momentforge.chebyshev import cheb_t_table
 from momentforge.distributions import DiscreteDistribution, w1_distance
 from momentforge.sde import (
     LinearOperator,
-    SdeConfig,
     estimate_spectral_density,
     hutchinson_cheb_moments,
     power_iterations,
@@ -51,7 +50,7 @@ def bisect_eigenvalue(a, lo, hi, tol=1e-10):
 class TestLinearOperator:
     def test_counts_single_and_block(self):
         op = LinearOperator.from_dense(np.eye(3))
-        op.apply(np.ones(3))
+        op.apply_block(np.ones((3, 1)))
         op.apply_block(np.ones((3, 5)))
         assert op.matvec_count == 6
 
@@ -59,39 +58,62 @@ class TestLinearOperator:
         rng = np.random.default_rng(0)
         a = random_symmetric(rng, 8, norm_one=False)
         op = LinearOperator.from_dense(a)
-        x, y = rng.normal(size=8), rng.normal(size=8)
-        assert op.apply(2 * x + y) == pytest.approx(2 * op.apply(x) + op.apply(y), abs=1e-10)
-        assert op.apply(x) @ y == pytest.approx(x @ op.apply(y), abs=1e-8)
+        x, y = rng.normal(size=(8, 1)), rng.normal(size=(8, 1))
+        assert op.apply_block(2 * x + y) == pytest.approx(2 * op.apply_block(x) + op.apply_block(y), abs=1e-10)
+        assert np.vdot(op.apply_block(x), y) == pytest.approx(np.vdot(x, op.apply_block(y)), abs=1e-8)
 
     def test_diagonal_operator(self):
         op = LinearOperator.from_diagonal(np.array([1.0, -2.0]))
-        assert op.apply(np.array([3.0, 3.0])) == pytest.approx([3.0, -6.0])
+        assert op.apply_block(np.array([[3.0], [3.0]])) == pytest.approx(np.array([[3.0], [-6.0]]))
+
+    def test_products_are_always_blocks(self):
+        # a matvec is only ever given an (n, l) float array: by the power
+        # method, the probes and both paths of the pipeline
+        rng = np.random.default_rng(59)
+        diag = rng.uniform(-0.9, 0.9, 192)
+        shapes = []
+
+        def strict(n):
+            def matvec(v):
+                if not (isinstance(v, np.ndarray) and v.dtype == float and v.ndim == 2 and v.shape[0] == n):
+                    raise TypeError(f"matvec given {type(v).__name__} {np.shape(v)}")
+                shapes.append(v.shape)
+                return diag[:n, None] * v
+
+            return LinearOperator(n, matvec)
+
+        assert power_method_bound(strict(192), iters=5, seed=0) > 0.0
+        hutchinson_cheb_moments(strict(192), np.array([3, 2, 2, 1]), 0)
+        probe = estimate_spectral_density(
+            strict(192), epsilon=0.5, delta=0.2, seed=5, probe_constant=0.02, degree_constant=8.0
+        )
+        dense = estimate_spectral_density(strict(16), epsilon=0.1, delta=0.1, seed=0)
+        assert (probe.report.path, dense.report.path) == ("hutchinson", "dense")
+        assert (192, 1) in shapes and (16, 16) in shapes
 
 
 class TestPowerMethod:
     def test_identity_gives_two(self):
         op = LinearOperator.from_dense(np.eye(8))
         bound = power_method_bound(op, iters=10, seed=0)
-        assert bound.value == pytest.approx(2.0)
-        assert 1.0 <= bound.value <= 2.0 + 1e-12
+        assert bound == pytest.approx(2.0)
+        assert 1.0 <= bound <= 2.0 + 1e-12
 
     def test_diagonal_brackets_norm(self):
         op = LinearOperator.from_diagonal(np.array([3.0, 1.0]))
         bound = power_method_bound(op, iters=60, seed=1)
-        assert 3.0 <= bound.value <= 6.0
+        assert 3.0 <= bound <= 6.0
 
     def test_homogeneous_scaling(self):
         rng = np.random.default_rng(5)
         a = random_symmetric(rng, 16, norm_one=False)
-        s1 = power_method_bound(LinearOperator.from_dense(a), iters=25, seed=3).value
-        s2 = power_method_bound(LinearOperator.from_dense(2 * a), iters=25, seed=3).value
+        s1 = power_method_bound(LinearOperator.from_dense(a), iters=25, seed=3)
+        s2 = power_method_bound(LinearOperator.from_dense(2 * a), iters=25, seed=3)
         assert s2 == pytest.approx(2 * s1, rel=1e-12)
 
     def test_zero_operator_flagged(self):
         op = LinearOperator.from_dense(np.zeros((4, 4)))
-        bound = power_method_bound(op, iters=5, seed=0)
-        assert bound.is_zero
-        assert bound.value == 1e-30
+        assert power_method_bound(op, iters=5, seed=0) == 1e-30
 
     def test_random_matrices_bracket(self):
         rng = np.random.default_rng(9)
@@ -100,7 +122,7 @@ class TestPowerMethod:
             true_norm = np.max(np.abs(np.linalg.eigvalsh(a)))
             got = power_method_bound(
                 LinearOperator.from_dense(a), iters=10 * math.ceil(math.log(32)) + 20, seed=trial
-            ).value
+            )
             assert true_norm * (1 - 1e-6) <= got <= 2 * true_norm + 1e-12
 
     def test_iterations_formula(self):
@@ -124,7 +146,7 @@ class TestPowerMethod:
         diag[0] = -1.0
         op = LinearOperator.from_diagonal(diag)
         iters = power_iterations(n, alpha)
-        values = np.array([power_method_bound(op, iters, seed).value for seed in range(seeds)])
+        values = np.array([power_method_bound(op, iters, seed) for seed in range(seeds)])
         assert np.all(values <= 2.0 + 1e-12)
         assert np.count_nonzero(values < 1.0) <= alpha * seeds
 
@@ -147,29 +169,31 @@ class TestSchedule:
 class TestHutchinson:
     def test_identity_is_exact(self):
         op = LinearOperator.from_dense(np.eye(16))
-        moments, used = hutchinson_cheb_moments(op, np.ones(6, dtype=int), 0)
+        moments = hutchinson_cheb_moments(op, np.ones(6, dtype=int), 0)
         assert moments.values == pytest.approx(np.ones(6), abs=0)
 
     def test_sign_diagonal_even_moments(self):
         diag = np.array([1.0, -1.0] * 8)
         op = LinearOperator.from_diagonal(diag)
-        moments, _ = hutchinson_cheb_moments(op, np.ones(8, dtype=int), 4)
+        moments = hutchinson_cheb_moments(op, np.ones(8, dtype=int), 4)
         assert moments.values[1::2] == pytest.approx(np.ones(4), abs=0)
 
     def test_matvec_accounting(self):
         rng = np.random.default_rng(6)
         op = LinearOperator.from_dense(random_symmetric(rng, 32))
-        cfg = SdeConfig(epsilon=0.5, delta=0.1, probe_constant=0.05, degree_constant=8)
-        schedule = probe_schedule(32, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-        moments, used = hutchinson_cheb_moments(op, schedule, 1)
+        # k, gamma and alpha as `estimate_spectral_density` derives them at
+        # epsilon = 0.5, delta = 0.1, degree_constant = 8
+        k = math.ceil(8 / 0.5)
+        gamma = 1.0 / (k * math.sqrt(1.0 + math.log(k)))
+        schedule = probe_schedule(32, k, gamma, 0.1 / k, 0.05)
+        moments = hutchinson_cheb_moments(op, schedule, 1)
         assert moments.k == 16
-        assert used == schedule_matvec_cost(schedule)
-        assert op.matvec_count == used
+        assert op.matvec_count == schedule_matvec_cost(schedule)
 
     def test_single_probe_costs_half_k(self):
         op = LinearOperator.from_dense(np.eye(8))
-        moments, used = hutchinson_cheb_moments(op, np.ones(12, dtype=int), 0)
-        assert used == 6
+        hutchinson_cheb_moments(op, np.ones(12, dtype=int), 0)
+        assert op.matvec_count == 6
 
     @pytest.mark.parametrize("k", [1, 2, 5, 16])
     @pytest.mark.parametrize("kind", ["dense", "diagonal"])
@@ -185,10 +209,10 @@ class TestHutchinson:
             build, entries = LinearOperator.from_diagonal, rng.uniform(-1, 1, n)
         schedule = np.arange(k + 3, 3, -1)
         op = build(entries)
-        moments, used = hutchinson_cheb_moments(op, schedule, k)
+        moments = hutchinson_cheb_moments(op, schedule, k)
         expected = hutchinson_three_term(build(entries), k, k, schedule)
         assert np.max(np.abs(moments.values - expected)) <= 1e-12
-        assert used == schedule[0::2].sum() == op.matvec_count
+        assert schedule[0::2].sum() == op.matvec_count
 
     @pytest.mark.parametrize("kind", ["dense", "diagonal"])
     def test_norm_bound_matches_a_prescaled_operator(self, kind):
@@ -203,14 +227,14 @@ class TestHutchinson:
             op = LinearOperator.from_dense(entries)
         else:
             entries = rng.uniform(-2, 2, n)
-            product = lambda v: (entries[:, None] if v.ndim == 2 else entries) * v
+            product = lambda v: entries[:, None] * v
             op = LinearOperator.from_diagonal(entries)
         prescaled = LinearOperator(n, lambda v: (1.0 / bound) * product(v))
         schedule = np.array([9, 8, 8, 6, 5, 5, 3])
-        moments, used = hutchinson_cheb_moments(op, schedule, 12, norm_bound=bound)
-        expected, expected_used = hutchinson_cheb_moments(prescaled, schedule, 12)
+        moments = hutchinson_cheb_moments(op, schedule, 12, norm_bound=bound)
+        expected = hutchinson_cheb_moments(prescaled, schedule, 12)
         assert np.array_equal(moments.values, expected.values)
-        assert used == expected_used == op.matvec_count == schedule_matvec_cost(schedule)
+        assert op.matvec_count == prescaled.matvec_count == schedule_matvec_cost(schedule)
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
     def test_bad_norm_bound_refused(self, bound):
@@ -240,7 +264,7 @@ class TestHutchinson:
         exact = np.array([np.mean(cheb_t_table(k, np.linalg.eigvalsh(a))[j]) for j in range(1, k + 1)])
         probes = 100_000
         schedule = np.full(k, probes)
-        moments, _ = hutchinson_cheb_moments(op, schedule, 21)
+        moments = hutchinson_cheb_moments(op, schedule, 21)
         # standard error of the estimator on an 8x8 matrix
         for j in range(k):
             se = math.sqrt(2.0 / (probes * 8))
@@ -262,7 +286,7 @@ class TestHutchinson:
         failures = 0
         trials = 30
         for seed in range(trials):
-            moments, _ = hutchinson_cheb_moments(op, schedule, seed)
+            moments = hutchinson_cheb_moments(op, schedule, seed)
             j = np.arange(1, k + 1)
             if np.any(np.abs(moments.values - exact) > np.sqrt(j) * gamma):
                 failures += 1
@@ -274,7 +298,7 @@ class TestHutchinson:
         rng = np.random.default_rng(29)
         diag = rng.uniform(-1, 1, 32)
         op = LinearOperator.from_diagonal(diag)
-        moments, _ = hutchinson_cheb_moments(op, np.ones(10, dtype=int), 3)
+        moments = hutchinson_cheb_moments(op, np.ones(10, dtype=int), 3)
         exact = np.array([np.mean(cheb_t_table(10, diag)[j]) for j in range(1, 11)])
         assert moments.values == pytest.approx(exact, abs=1e-12)
 
@@ -443,9 +467,8 @@ class TestEstimatePipeline:
         applied = []
 
         def matvec(v):
-            if v.ndim == 1:
-                applied.append(v.copy())
-            return diag[:, None] * v if v.ndim == 2 else diag * v
+            applied.append(v[:, 0].copy())  # the power method's products come first
+            return diag[:, None] * v
 
         op = LinearOperator(n, matvec)
         result = estimate_spectral_density(
@@ -462,9 +485,12 @@ class TestEstimatePipeline:
         n = 128
         diag = np.random.default_rng(43).uniform(-0.9, 0.9, n)
         op = LinearOperator.from_diagonal(diag)
-        cfg = SdeConfig(epsilon=0.5, delta=0.2, probe_constant=0.25, degree_constant=8.0)
-        schedule = probe_schedule(n, cfg.k, cfg.gamma, cfg.alpha, cfg.probe_constant)
-        power_iters = power_iterations(n, cfg.alpha)
+        # k, gamma and alpha as `estimate_spectral_density` derives them at
+        # epsilon = 0.5, delta = 0.2, degree_constant = 8
+        k = math.ceil(8.0 / 0.5)
+        gamma = 1.0 / (k * math.sqrt(1.0 + math.log(k)))
+        schedule = probe_schedule(n, k, gamma, 0.2 / k, 0.25)
+        power_iters = power_iterations(n, 0.2 / k)
         assert power_iters == 16
         assert schedule.sum() + power_iters >= n > schedule[0::2].sum() + power_iters
         result = estimate_spectral_density(
@@ -472,6 +498,41 @@ class TestEstimatePipeline:
         )
         assert result.report.path == "hutchinson"
         assert result.report.matvecs == schedule[0::2].sum() + power_iters == op.matvec_count
+
+    def test_report_counts_the_products_taken(self):
+        # on a zero operator the power method stops after its first product,
+        # and the report counts that one, not the iterations it was allowed
+        op = LinearOperator.from_diagonal(np.zeros(192))
+        result = estimate_spectral_density(
+            op, epsilon=0.5, delta=0.2, seed=5, probe_constant=0.02, degree_constant=8.0
+        )
+        assert result.report.path == "hutchinson"
+        assert result.report.matvecs == op.matvec_count
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"epsilon": 0.0}, "epsilon must lie in"),
+            ({"epsilon": 1.0}, "epsilon must lie in"),
+            ({"epsilon": math.nan}, "epsilon must lie in"),
+            ({"delta": 0.0}, "delta must lie in"),
+            ({"delta": 1.0}, "delta must lie in"),
+            ({"delta": math.nan}, "delta must lie in"),
+            ({"probe_constant": -1.0}, "probe constant must be nonnegative and finite"),
+            ({"probe_constant": math.nan}, "probe constant must be nonnegative and finite"),
+            ({"probe_constant": math.inf}, "probe constant must be nonnegative and finite"),
+            ({"degree_constant": 0.0}, "degree constant must be positive and finite"),
+            ({"degree_constant": -8.0}, "degree constant must be positive and finite"),
+            ({"degree_constant": math.nan}, "degree constant must be positive and finite"),
+            ({"degree_constant": math.inf}, "degree constant must be positive and finite"),
+        ],
+    )
+    def test_bad_parameters_refused(self, bad, message):
+        op = LinearOperator.from_diagonal(np.linspace(-1, 1, 192))
+        args = {"epsilon": 0.5, "delta": 0.2, "probe_constant": 0.02, "degree_constant": 8.0} | bad
+        with pytest.raises(ValueError, match=message):
+            estimate_spectral_density(op, seed=0, **args)
+        assert op.matvec_count == 0
 
     def test_budget_formula(self):
         assert matvec_budget(256, 0.1, 0.1) == pytest.approx(
