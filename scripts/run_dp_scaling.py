@@ -6,15 +6,17 @@ Example:
 """
 
 import argparse
-import csv
 import sys
 
+from momentforge.cli import EXIT_VALIDATION
 from momentforge.dpsynth import expected_error_curve
 from momentforge.experiments import (
     GENERATORS,
+    doubling_sizes,
     mean_w1_by_n,
     rate_slope_check,
     run_dp_scaling,
+    write_scaling_csv,
 )
 
 
@@ -30,19 +32,15 @@ def main():
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    n_values = []
-    n = args.nmin
-    while n <= args.nmax:
-        n_values.append(n)
-        n *= 2
+    try:
+        n_values = doubling_sizes(args.nmin, args.nmax)
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     rows = run_dp_scaling(args.dist, n_values, args.trials, args.epsilon, args.seed, jobs=args.jobs)
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "trial", "w1", "expected_bound"])
-            for row in rows:
-                writer.writerow([row.n, row.trial, "%.17g" % row.w1, "%.17g" % row.expected_bound])
+        write_scaling_csv(rows, args.out)
 
     ns, means = mean_w1_by_n(rows)
     print(f"{'n':>6} {'mean W1':>10} {'bound':>10} {'ratio':>7}")

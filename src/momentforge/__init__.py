@@ -31,7 +31,6 @@ from .dpsynth import (
     NoisyMoments,
     PrivacyBudget,
     dp_synthesize,
-    dp_synthesize_multi,
     expected_error_curve,
     gaussian_mechanism_delta,
     gaussian_noise_vector,

@@ -14,15 +14,15 @@ which the pipeline rejects (n = 2 at the default epsilon 0.5).
 The dp-synth report has two parts. `release` holds only what the noisy
 moments and public parameters determine, so it can be published with the
 synthetic distribution. `diagnostics` holds the private rest: the clamp
-count, `w1_vs_input` and the manifest, whose seed is the noise's secret
-key and whose digest is the data file's. An unseeded dp-synth run draws its
+count, `w1_vs_input` (with `--evaluate`, 1-D data only: the exact W1 is
+1-D) and the manifest, whose seed is the noise's secret key and whose
+digest is the data file's. An unseeded dp-synth run draws its
 seed from `secrets` rather than using 0, and records it there.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -43,8 +43,14 @@ from .distributions import (
     DiscreteDistribution,
     w1_distance,
 )
-from .dpsynth import PrivacyBudget, dp_synthesize, dp_synthesize_multi
-from .experiments import GENERATORS, mean_w1_by_n, run_dp_scaling
+from .dpsynth import PrivacyBudget, dp_synthesize
+from .experiments import (
+    GENERATORS,
+    doubling_sizes,
+    mean_w1_by_n,
+    run_dp_scaling,
+    write_scaling_csv,
+)
 from .fileio import (
     CsvFormatError,
     load_dataset_csv,
@@ -134,11 +140,7 @@ def _cmd_dp_synth(args):
     columns = 1 if data.ndim == 1 else data.shape[1]
     if columns != args.dim:
         raise ValueError(f"--dim {args.dim} does not match the data file's {columns} columns")
-    budget = PrivacyBudget(epsilon=args.epsilon, delta=args.delta)
-    if args.dim == 1:
-        result = dp_synthesize(data, budget, args.seed)
-    else:
-        result = dp_synthesize_multi(data, budget, args.seed)
+    result = dp_synthesize(data, PrivacyBudget(epsilon=args.epsilon, delta=args.delta), args.seed)
     save_distribution_csv(result.distribution, args.out)
     if args.report:
         release = asdict(result.report)
@@ -200,23 +202,11 @@ def _cmd_popmle(args):
 
 
 def _cmd_experiment_dp(args):
-    if args.nmin < 2:
-        raise ValueError("--nmin must be at least 2")
-    if args.nmax < args.nmin:
-        raise ValueError("--nmax must be at least --nmin")
-    n_values = []
-    n = args.nmin
-    while n <= args.nmax:
-        n_values.append(n)
-        n *= 2
+    n_values = doubling_sizes(args.nmin, args.nmax)
     rows = run_dp_scaling(
         args.dist, n_values, args.trials, args.epsilon, args.seed, jobs=args.jobs
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "trial", "w1", "expected_bound"])
-        for row in rows:
-            writer.writerow([row.n, row.trial, "%.17g" % row.w1, "%.17g" % row.expected_bound])
+    write_scaling_csv(rows, args.out)
     if args.report:
         ns, means = mean_w1_by_n(rows)
         payload = {

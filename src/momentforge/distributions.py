@@ -142,9 +142,9 @@ def cheb_moments(p, k):
 
 def multi_index_array(m, d):
     """All K in {0..m}^d except the zero index, in lexicographic order, as
-    the rows of an integer (k, d) array."""
-    if d not in (2, 3):
-        raise ValueError("tensor moments are defined for d in {2, 3}")
+    the rows of an integer (k, d) array; for d = 1 the (m, 1) rows 1..m."""
+    if d not in (1, 2, 3):
+        raise ValueError("index arrays are defined for d in {1, 2, 3}")
     grids = np.meshgrid(*([np.arange(m + 1)] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)[1:]
 
@@ -198,7 +198,10 @@ class MomentErrorReport:
 
 
 def moment_error_gamma(mp, mq):
-    """gamma = sqrt(sum_j (m_p,j - m_q,j)^2 / j^2) plus the 36/k + gamma bound."""
+    """gamma = sqrt(sum_j (m_p,j - m_q,j)^2 / j^2) plus the 36/k + gamma
+    bound on W1(p, q) for distributions p and q with moments mp and mq. For
+    noisy moments mp of a truth t it bounds W1(t, q) only after adding
+    gamma(t's moments, mp), by the triangle inequality."""
     if mp.k != mq.k:
         raise ValueError("moment vectors must share the same degree")
     j = np.arange(1, mp.k + 1)

@@ -9,6 +9,7 @@ given their derived seeds, so they can run in parallel; output order is by
 
 from __future__ import annotations
 
+import csv
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -104,6 +105,29 @@ def _one_blas_thread_children():
                 del os.environ[var]
             else:
                 os.environ[var] = value
+
+
+def doubling_sizes(nmin, nmax):
+    """The sweep's sizes nmin, 2 nmin, 4 nmin, ... up to nmax. Refuses an
+    nmin below 2 and an nmax below nmin."""
+    if nmin < 2:
+        raise ValueError("--nmin must be at least 2")
+    if nmax < nmin:
+        raise ValueError("--nmax must be at least --nmin")
+    n_values = [nmin]
+    while 2 * n_values[-1] <= nmax:
+        n_values.append(2 * n_values[-1])
+    return n_values
+
+
+def write_scaling_csv(rows, path):
+    """The study's CSV: header n,trial,w1,expected_bound, one line per row,
+    floats as %.17g."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "trial", "w1", "expected_bound"])
+        for row in rows:
+            writer.writerow([row.n, row.trial, "%.17g" % row.w1, "%.17g" % row.expected_bound])
 
 
 def run_dp_scaling(name, n_values, trials, epsilon, seed, jobs=1):

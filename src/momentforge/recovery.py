@@ -71,6 +71,11 @@ class LPSolution:
 
 @dataclass
 class RecoveryResult:
+    """A fit and its report. `w1_bound` is 36/k + gamma, gamma the fit's
+    moment error against the input (`moment_error_gamma`): a W1 bound only
+    against a distribution whose moments equal the input. For a truth p
+    behind noisy input moments, W1(p, fit) <= w1_bound + Gamma(p, input)."""
+
     distribution: DiscreteDistribution
     k: int
     g: int

@@ -128,7 +128,8 @@ def power_method_bound(op, iters, seed):
     Rayleigh quotient of A^2, which stays informative when the extreme
     eigenvalues have opposite signs and similar size. The iterate is one
     (n, 1) column; a zero product ends the run early, so fewer than `iters`
-    products may be taken (`op.matvec_count` counts them).
+    products may be taken (`op.matvec_count` counts them). A product whose
+    norm is not finite (a NaN or infinite entry) is a ValueError.
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
@@ -139,6 +140,8 @@ def power_method_bound(op, iters, seed):
     for _ in range(iters):
         w = op.apply_block(v)
         wnorm = float(np.linalg.norm(w))
+        if not math.isfinite(wnorm):
+            raise ValueError("operator products must be finite")
         best = max(best, wnorm)
         if wnorm == 0.0:
             break

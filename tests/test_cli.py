@@ -641,6 +641,22 @@ class TestExperimentCommand:
         assert "--nm" in run.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [["--nmin", "0"], ["--nmin", "256", "--nmax", "128"]])
+    def test_scaling_script_refuses_the_same_ranges(self, tmp_path, bounds):
+        # the script shares the CLI's n list; it used to print a NaN slope
+        # after a RuntimeWarning at --nmax < --nmin
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "rows.csv"
+        run = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_dp_scaling.py"), "--dist", "sine", *bounds,
+             "--trials", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == EXIT_VALIDATION, run.stderr
+        assert "--nm" in run.stderr
+        assert not out.exists()
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"

@@ -60,7 +60,7 @@ def exact_release(data, k):
     """The zero-variance 1-D release of the dataset's own moments."""
     p = DiscreteDistribution.uniform_over(data)
     values = cheb_moments(p, k).values * math.sqrt(2.0 / math.pi)
-    return NoisyMoments(values=values, variances=np.zeros(k))
+    return NoisyMoments(values=values, variances=np.zeros(k), indices=multi_index_array(k, 1))
 
 
 def exact_tensor_release(points, m):
@@ -109,9 +109,12 @@ class TestSensitivity:
     @pytest.mark.parametrize("d,m_max", [(2, 32), (3, 16)])
     def test_tensor_bound_corner_pairs(self, d, m_max):
         # two corners of [-1, 1]^d as the one differing point: the worst
-        # pairs on the grid, whose D^2 rises towards the bound from below
+        # pairs on the grid, whose D^2 rises towards the bound from below;
+        # also at the pipeline's largest documented degree,
+        # m = ceil(2 (eps n)^{1/d}) at eps = 0.5 and n = 10^5 (448 and 74)
         corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-        for m in range(2, m_max + 1):
+        largest = math.ceil(2.0 * (0.5 * 10**5) ** (1.0 / d))
+        for m in [*range(2, m_max + 1), largest]:
             bound_sq = tensor_sensitivity_sq_bound(1, m, d)
             release = np.array([scaled_tensor_release(c[None, :], m) for c in corners])
             for a in range(len(corners)):
@@ -122,21 +125,21 @@ class TestSensitivity:
 
 class TestNoise:
     def test_seed_determinism(self):
-        a, va = gaussian_noise_vector(16, 0.5, seed=123)
-        b, vb = gaussian_noise_vector(16, 0.5, seed=123)
+        a, va = gaussian_noise_vector(multi_index_array(16, 1), 0.5, seed=123)
+        b, vb = gaussian_noise_vector(multi_index_array(16, 1), 0.5, seed=123)
         assert np.array_equal(a, b)
         assert np.array_equal(va, vb)
-        c, _ = gaussian_noise_vector(16, 0.5, seed=124)
+        c, _ = gaussian_noise_vector(multi_index_array(16, 1), 0.5, seed=124)
         assert not np.array_equal(a, c)
 
     def test_zero_variance_gives_zeros(self):
-        draws, variances = gaussian_noise_vector(8, 0.0, seed=1)
+        draws, variances = gaussian_noise_vector(multi_index_array(8, 1), 0.0, seed=1)
         assert np.all(draws == 0)
         assert np.all(variances == 0)
 
     def test_variance_schedule(self):
         sigma2 = 0.3
-        _, variances = gaussian_noise_vector(5, sigma2, seed=0)
+        _, variances = gaussian_noise_vector(multi_index_array(5, 1), sigma2, seed=0)
         assert variances == pytest.approx(sigma2 * np.arange(1, 6))
 
     def test_multi_index_variances(self):
@@ -163,7 +166,7 @@ class TestNoise:
         assert np.var(draws) == pytest.approx(4 * sigma2, rel=0.02)
         # and across mechanism seeds the per-index draws follow the schedule
         samples = np.array(
-            [gaussian_noise_vector(4, sigma2, seed=s)[0][3] for s in range(4000)]
+            [gaussian_noise_vector(multi_index_array(4, 1), sigma2, seed=s)[0][3] for s in range(4000)]
         )
         assert np.var(samples) == pytest.approx(4 * sigma2, rel=0.1)
 
@@ -183,13 +186,13 @@ class TestBudget:
         budget = PrivacyBudget(epsilon=0.5, delta=1e-6)
         n, k = 1000, 1000
         expected = (16 / math.pi) * (1 + math.log(k)) * math.log(1.25e6) / (0.25 * n**2)
-        assert budget.sigma2(n, k) == pytest.approx(expected)
+        assert budget.sigma2(n, multi_index_array(k, 1)) == pytest.approx(expected)
 
     def test_sigma2_is_twice_sensitivity_rule(self):
         budget = PrivacyBudget(epsilon=0.3, delta=1e-5)
         n, k = 500, 300
         gaussian_rule = 2 * sensitivity_sq_bound(n, k) * math.log(1.25 / budget.delta) / budget.epsilon**2
-        assert budget.sigma2(n, k) == pytest.approx(gaussian_rule)
+        assert budget.sigma2(n, multi_index_array(k, 1)) == pytest.approx(gaussian_rule)
 
 
 class TestPrivacyGuarantee:
@@ -232,7 +235,7 @@ class TestPrivacyGuarantee:
         k = max(1, math.ceil(2.0 * epsilon * n))
         sensitivity = math.sqrt(sensitivity_sq_bound(n, k))
         for delta in self.deltas(n):
-            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2(n, k))
+            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2(n, multi_index_array(k, 1)))
             assert 0.0 <= gaussian_mechanism_delta(sigma, sensitivity, epsilon) <= delta
 
     @pytest.mark.parametrize("n", NS)
@@ -242,7 +245,7 @@ class TestPrivacyGuarantee:
         m = math.ceil(2.0 * (epsilon * n) ** (1.0 / d))
         sensitivity = math.sqrt(2.0 * 2.0**d * norm_inverse_sum(m, d) / (math.pi**d * n**2))
         for delta in self.deltas(n):
-            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2_multi(n, m, d))
+            sigma = math.sqrt(PrivacyBudget(epsilon, delta).sigma2(n, multi_index_array(m, d)))
             assert 0.0 <= gaussian_mechanism_delta(sigma, sensitivity, epsilon) <= delta
 
 
@@ -289,7 +292,7 @@ class TestPipeline1D:
         en = budget.epsilon * 30
         assert result.report.k == math.ceil(2 * en)
         assert result.report.r == 2 * math.ceil(en) + 1
-        assert result.report.sigma2 == pytest.approx(budget.sigma2(30, result.report.k))
+        assert result.report.sigma2 == pytest.approx(budget.sigma2(30, multi_index_array(result.report.k, 1)))
         assert result.report.rounding_bound == pytest.approx(1 / (2 * math.ceil(en)))
 
     def test_mechanism_seed_determinism(self):
@@ -310,6 +313,7 @@ class TestPipeline1D:
         replay = NoisyMoments(
             values=result.noisy_moments.values.copy(),
             variances=result.noisy_moments.variances.copy(),
+            indices=result.noisy_moments.indices.copy(),
         )
         dist, _ = synthesize_from_noisy_moments(replay)
         assert np.array_equal(dist.support, result.distribution.support)
@@ -360,7 +364,7 @@ class TestPipeline1D:
         # variance of the released noise matches j * sigma^2 across seeds
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(4).uniform(-1, 1, 20)
-        sigma2 = budget.sigma2(20, 20)
+        sigma2 = budget.sigma2(20, multi_index_array(20, 1))
         grid = Grid.uniform(10)
         p = DiscreteDistribution.uniform_over(round_to_grid(data, grid))
         exact = cheb_moments(p, 20).values * math.sqrt(2.0 / math.pi)
@@ -410,7 +414,7 @@ class TestPipelineMulti:
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         rng = np.random.default_rng(9)
         data = rng.uniform(-1, 1, (32, 2))
-        result = dp_synthesize_multi(data, budget, seed=1)
+        result = dp_synthesize(data, budget, seed=1)
         n = 32
         root = (budget.epsilon * n) ** 0.5
         m = math.ceil(2 * root)
@@ -423,23 +427,39 @@ class TestPipelineMulti:
     def test_rejects_bad_dimension(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         with pytest.raises(ValueError):
-            dp_synthesize_multi(np.zeros((10, 4)), budget, seed=0)
+            dp_synthesize(np.zeros((10, 4)), budget, seed=0)
 
     def test_release_indices_are_a_read_only_array(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(11).uniform(-1, 1, (24, 3))
-        noisy = dp_synthesize_multi(data, budget, seed=4).noisy_moments
+        noisy = dp_synthesize(data, budget, seed=4).noisy_moments
         m = math.ceil(2 * (budget.epsilon * 24) ** (1 / 3))
         assert noisy.indices.dtype == np.int64
         assert np.array_equal(noisy.indices, multi_index_array(m, 3))
         assert noisy.indices.shape == (noisy.k, 3)
         assert not noisy.indices.flags.writeable
 
+    def test_multi_name_checks_the_shape_and_delegates(self):
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        data = np.random.default_rng(15).uniform(-1.1, 1.1, (40, 2))
+        a, b = dp_synthesize(data, budget, seed=8), dp_synthesize_multi(data, budget, seed=8)
+        assert a.distribution.weights.tobytes() == b.distribution.weights.tobytes()
+        assert a.noisy_moments.values.tobytes() == b.noisy_moments.values.tobytes()
+        assert repr(a.report) == repr(b.report)  # NaN bounds: compare the text
+        for flat in (data[:, 0], data[:, :1]):
+            with pytest.raises(ValueError, match="d in"):
+                dp_synthesize_multi(flat, budget, seed=8)
+
+    def test_column_vector_is_not_one_d_data(self):
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        with pytest.raises(ValueError, match="d in"):
+            dp_synthesize(np.zeros((10, 1)), budget, seed=0)
+
     def test_noise_variance_schedule(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         rng = np.random.default_rng(10)
         data = rng.uniform(-1, 1, (24, 2))
-        result = dp_synthesize_multi(data, budget, seed=2)
+        result = dp_synthesize(data, budget, seed=2)
         sigma2 = result.report.sigma2
         for K, var in zip(result.noisy_moments.indices, result.noisy_moments.variances):
             assert var == pytest.approx(sigma2 * math.sqrt(sum(v * v for v in K)))
@@ -456,15 +476,13 @@ class TestReplay:
     def test_replay_matches_pipeline(self, d, n):
         budget = PrivacyBudget(epsilon=0.5, delta=1.0 / n**2)
         rng = np.random.default_rng([n, d])
-        if d == 1:
-            result = dp_synthesize(rng.uniform(-1, 1, n), budget, seed=n)
-        else:
-            result = dp_synthesize_multi(rng.uniform(-1, 1, (n, d)), budget, seed=n)
+        data = rng.uniform(-1, 1, n) if d == 1 else rng.uniform(-1, 1, (n, d))
+        result = dp_synthesize(data, budget, seed=n)
         released = result.noisy_moments
         replay = NoisyMoments(
             values=released.values.copy(),
             variances=released.variances.copy(),
-            indices=None if released.indices is None else released.indices.copy(),
+            indices=released.indices.copy(),
         )
         dist, solution = synthesize_from_noisy_moments(replay)
         assert dist.support.tobytes() == result.distribution.support.tobytes()
@@ -472,10 +490,35 @@ class TestReplay:
         assert solution.objective == result.report.objective
         assert solution.iterations == result.report.iterations
 
+    def test_one_d_release_carries_rows_one_to_k(self):
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        noisy = dp_synthesize(np.random.default_rng(13).uniform(-1, 1, 50), budget, seed=3).noisy_moments
+        assert noisy.indices.dtype == np.int64
+        assert np.array_equal(noisy.indices, np.arange(1, 51)[:, None])
+        assert np.array_equal(noisy.indices, multi_index_array(50, 1))
+        assert not noisy.indices.flags.writeable
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_one_d_replay_rejects_other_indices(self, shift):
+        # rows 0..k-1 or 2..k+1 in place of 1..k: not multi_index_array(m, 1)
+        budget = PrivacyBudget(epsilon=0.5, delta=0.01)
+        noisy = dp_synthesize(np.random.default_rng(14).uniform(-1, 1, 40), budget, seed=2).noisy_moments
+        other = NoisyMoments(values=noisy.values, variances=noisy.variances, indices=noisy.indices + shift)
+        with pytest.raises(ValueError):
+            synthesize_from_noisy_moments(other)
+
+    def test_release_shape_checks(self):
+        with pytest.raises(ValueError, match="one row per value"):
+            NoisyMoments(values=np.ones(3), variances=np.zeros(3), indices=np.arange(1, 4))
+        with pytest.raises(ValueError, match="one row per value"):
+            NoisyMoments(values=np.ones(3), variances=np.zeros(3), indices=multi_index_array(2, 1))
+        with pytest.raises(ValueError, match="finite"):
+            NoisyMoments(values=[0.1, np.nan], variances=np.zeros(2), indices=multi_index_array(2, 1))
+
     def test_tensor_replay_rejects_other_indices(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(12).uniform(-1, 1, (32, 2))
-        noisy = dp_synthesize_multi(data, budget, seed=6).noisy_moments
+        noisy = dp_synthesize(data, budget, seed=6).noisy_moments
         reordered = NoisyMoments(
             values=noisy.values[::-1], variances=noisy.variances[::-1], indices=noisy.indices[::-1]
         )

@@ -467,7 +467,48 @@ class TestWeightedQp:
         assert np.all(np.diff(solution.trace) <= 1e-15)
 
 
+def shaped_noise(shape, k, gamma, rng):
+    """Moment noise eta with Gamma(eta) = sqrt(sum_j eta_j^2 / j^2) = gamma:
+    eta_j proportional to j N(0, 1), noise on j <= 3 only, j N(0, 1) on the
+    top quarter of the degrees only, or +-j."""
+    j = np.arange(1, k + 1)
+    if shape == "proportional":
+        raw = j * rng.standard_normal(k)
+    elif shape == "low":
+        raw = np.where(j <= 3, rng.standard_normal(k), 0.0)
+    elif shape == "high":
+        raw = np.where(j > k - k // 4, j * rng.standard_normal(k), 0.0)
+    else:
+        raw = j * rng.choice([-1.0, 1.0], k)
+    return raw * (gamma / math.sqrt(np.sum((raw / j) ** 2)))
+
+
 class TestRecoverDistribution:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 32),
+        st.integers(1, 5),
+        st.sampled_from(["proportional", "low", "high", "sign"]),
+        st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    )
+    def test_noisy_recovery_theorem(self, seed, k, atoms, shape, gamma):
+        # W1(p, q) <= 36/k + Gamma(p, q), and Gamma(p, q) <= 2 Gamma(eta) +
+        # Gamma(p, p_g) for the fit q of m + eta over the grid: the fit's
+        # objective is at most that of p_g, p rounded to the nearest grid
+        # node, whose moment error is this test's rounding allowance
+        rng = np.random.default_rng(seed)
+        p = random_distribution(rng, atoms)
+        exact = cheb_moments(p, k)
+        eta = shaped_noise(shape, k, gamma, rng)
+        result = recover_distribution(MomentVector(exact.values + eta))
+        nodes = Grid.chebyshev(default_grid_size(k)).points
+        nearest = np.argmin(np.abs(p.support[:, None] - nodes[None, :]), axis=1)
+        p_g = DiscreteDistribution(nodes[nearest], p.weights)
+        rounding = moment_error_gamma(exact, cheb_moments(p_g, k)).gamma
+        bound = 36.0 / k + 2.0 * gamma + rounding
+        assert w1_distance(p, result.distribution) <= bound + 1e-9
+
     def test_mass_lands_near_top_node(self):
         result = recover_distribution(MomentVector(np.array([1.0])), grid=Grid.chebyshev(8))
         top = result.distribution.support[np.argmax(result.distribution.weights)]

@@ -115,6 +115,22 @@ class TestPowerMethod:
         op = LinearOperator.from_dense(np.zeros((4, 4)))
         assert power_method_bound(op, iters=5, seed=0) == 1e-30
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_refused(self, bad):
+        # a NaN product once read as a zero operator (S at the 1e-30 floor),
+        # so the pipeline spent every probe product before the fit refused
+        # its moments; an inf entry raised a RuntimeWarning in the division
+        diag = np.linspace(-0.9, 0.9, 192)
+        diag[7] = bad
+        op = LinearOperator.from_diagonal(diag)
+        with pytest.raises(ValueError, match="products must be finite"):
+            power_method_bound(op, iters=5, seed=0)
+        assert op.matvec_count == 1
+        op = LinearOperator.from_diagonal(diag)
+        with pytest.raises(ValueError, match="products must be finite"):
+            estimate_spectral_density(op, 0.5, 0.2, 5, probe_constant=0.02, degree_constant=8)
+        assert op.matvec_count == 1
+
     def test_random_matrices_bracket(self):
         rng = np.random.default_rng(9)
         for trial in range(10):
