@@ -6,10 +6,12 @@ parameters, seed, input digests, tool version); identical manifests produce
 byte-identical outputs. The MOMENTFORGE_SEED environment variable supplies
 a default seed, else it is 0; a value that is not an integer exits 3. The
 sde subcommand exits 3 on a matrix with a non-finite entry or one that is
-not symmetric within 1e-8; dp-synth when `--dim` differs from the data
-file's column count; experiment-dp when `--nmin` is below 2 or `--nmax`
-below `--nmin`, or when some n in the sweep has epsilon * n at most 1,
-which the pipeline rejects (n = 2 at the default epsilon 0.5).
+not symmetric within 1e-8; dp-synth on a data file of more than three
+columns; experiment-dp when `--nmin` is below 2 or `--nmax` below
+`--nmin`, or when some n in the sweep has epsilon * n at most 1, which the
+pipeline rejects (n = 2 at the default epsilon 0.5). The degree of
+`recover` is the moments file's row count, and the dimension of dp-synth
+the data file's column count.
 
 The dp-synth report has two parts. `release` holds only what the noisy
 moments and public parameters determine, so it can be published with the
@@ -28,7 +30,7 @@ import math
 import os
 import secrets
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -43,17 +45,21 @@ from .distributions import (
     DiscreteDistribution,
     w1_distance,
 )
-from .dpsynth import PrivacyBudget, dp_synthesize
+from .dpsynth import PrivacyBudget, dp_synthesize, expected_error_curve
 from .experiments import (
     GENERATORS,
+    RATE_SLOPE_FAST_END,
+    delta_for,
     doubling_sizes,
     mean_w1_by_n,
+    rate_slope_check,
     run_dp_scaling,
     write_scaling_csv,
 )
 from .fileio import (
     CsvFormatError,
     load_dataset_csv,
+    load_distribution_csv,
     load_matrix,
     load_moments_csv,
     save_distribution_csv,
@@ -114,38 +120,23 @@ def _manifest(subcommand, args):
 
 
 def _cmd_recover(args):
-    moments = load_moments_csv(args.moments)
-    if args.k is not None and args.k != moments.k:
-        raise ValueError("requested degree does not match the moments file")
-    result = recover_distribution(moments)
+    result = recover_distribution(load_moments_csv(args.moments))
     save_distribution_csv(result.distribution, args.out)
     if args.report:
-        payload = {
-            "k": result.k,
-            "g": result.g,
-            "gamma": result.gamma,
-            "w1_bound": result.w1_bound,
-            "w1_bound_optimistic": result.w1_bound_optimistic,
-            "objective": result.objective,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "manifest": _manifest("recover", args),
-        }
+        payload = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "distribution"}
+        payload["manifest"] = _manifest("recover", args)
         write_json_report(payload, args.report)
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
 def _cmd_dp_synth(args):
     data = load_dataset_csv(args.data)
-    columns = 1 if data.ndim == 1 else data.shape[1]
-    if columns != args.dim:
-        raise ValueError(f"--dim {args.dim} does not match the data file's {columns} columns")
     result = dp_synthesize(data, PrivacyBudget(epsilon=args.epsilon, delta=args.delta), args.seed)
     save_distribution_csv(result.distribution, args.out)
     if args.report:
         release = asdict(result.report)
         diagnostics = {"clamped": release.pop("clamped")}
-        if args.evaluate and args.dim == 1:
+        if args.evaluate and data.ndim == 1:
             clipped = np.clip(np.asarray(data, dtype=float), -1.0, 1.0)
             diagnostics["w1_vs_input"] = w1_distance(
                 DiscreteDistribution.uniform_over(clipped), result.distribution
@@ -189,8 +180,6 @@ def _cmd_popmle(args):
             "converged": result.converged,
         }
         if args.truth:
-            from .fileio import load_distribution_csv
-
             truth = load_distribution_csv(args.truth)
             payload["w1_vs_truth"] = w1_unit_interval(result.distribution, truth)
             payload["w1_naive_vs_truth"] = w1_unit_interval(
@@ -209,10 +198,16 @@ def _cmd_experiment_dp(args):
     write_scaling_csv(rows, args.out)
     if args.report:
         ns, means = mean_w1_by_n(rows)
+        # one size has no slope: the log-log fit would divide 0 by 0
+        check = rate_slope_check(ns, means, args.epsilon) if len(ns) > 1 else None
         payload = {
             "generator": args.dist,
             "n_values": ns,
             "mean_w1": means,
+            "expected_bound": [expected_error_curve(n, args.epsilon, delta_for(n)) for n in ns],
+            "slope": check and check.slope,
+            "slope_window": check and [RATE_SLOPE_FAST_END, check.slow_end],
+            "slope_ok": check and check.ok,
             "manifest": _manifest("experiment-dp", args),
         }
         write_json_report(payload, args.report)
@@ -285,7 +280,6 @@ def build_parser():
 
     p = sub.add_parser("recover", help="distribution from a moments CSV")
     p.add_argument("--moments", required=True)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_recover)
@@ -295,7 +289,6 @@ def build_parser():
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--evaluate", action="store_true")

@@ -42,7 +42,7 @@ from .distributions import (
     grid_round_indices,
     multi_index_array,
 )
-from .recovery import KroneckerBasis, NufftBasis, fit_simplex
+from .recovery import KroneckerBasis, NufftBasis, distribution_from_weights, fit_simplex
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,11 @@ class NoisyMoments:
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        raw = np.asarray(self.indices)
+        # checked before the int64 cast, which would truncate 1.5 to 1
+        whole = np.issubdtype(raw.dtype, np.integer) or np.all(np.isfinite(raw) & (raw == np.floor(raw)))
+        if not whole:
+            raise ValueError("indices must be whole numbers")
         for name, dtype in (("values", float), ("variances", float), ("indices", np.int64)):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
@@ -258,9 +263,7 @@ def _fit_grid(noisy, grid, basis, scale):
     # the 1/||K||^2-weighted fit of the release divided by its scale: the
     # plain moments sqrt(pi/2) * values in 1-D, the values for a tensor
     solution = fit_simplex(basis, 1.0 / _norms_sq(noisy.indices), noisy.values * (1.0 / scale))
-    weights = solution.weights / solution.weights.sum()
-    dist = DiscreteDistribution(grid.points, weights).pruned()
-    return dist, solution
+    return distribution_from_weights(grid, solution.weights), solution
 
 
 def dp_synthesize(data, budget, seed):

@@ -39,8 +39,6 @@ from .distributions import (
     multi_moment_normalizers,
 )
 
-PRUNE_THRESHOLD = 1e-15
-
 
 def default_grid_size(k):
     """ceil(k^1.5), the grid size paired with a degree-k fit."""
@@ -517,7 +515,7 @@ def recover_distribution(moments, grid=None):
     if grid is None:
         grid = Grid.chebyshev(default_grid_size(k))
     solution = solve_weighted_qp(moments, NufftBasis(grid.points, k))
-    dist = _distribution_from_weights(grid, solution.weights)
+    dist = distribution_from_weights(grid, solution.weights)
     achieved = cheb_moments(dist, k)
     report = moment_error_gamma(moments, achieved)
     return RecoveryResult(
@@ -566,7 +564,7 @@ def solve_moment_lp(moments, per_moment_tol, grid=None):
     )
 
 
-def _distribution_from_weights(grid, weights):
-    total = weights.sum()
-    dist = DiscreteDistribution(grid.points, weights / total)
-    return dist.pruned(PRUNE_THRESHOLD)
+def distribution_from_weights(grid, weights):
+    """The distribution of nonnegative grid weights: normalized to sum 1,
+    then pruned of weights at most 1e-15."""
+    return DiscreteDistribution(grid.points, weights / weights.sum()).pruned()

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._normal import seeded_rademacher
 from .distributions import DiscreteDistribution, Grid, MomentVector
-from .recovery import lp_grid_size, solve_moment_lp
+from .recovery import distribution_from_weights, lp_grid_size, solve_moment_lp
 
 
 class LinearOperator:
@@ -324,8 +324,7 @@ def estimate_spectral_density(op, epsilon, delta, seed, norm_bound=None, probe_c
     if not solution.feasible:
         doubled = True
         solution = solve_moment_lp(moments, 2.0 * tols, grid)
-    dist = DiscreteDistribution(grid.points, solution.weights / solution.weights.sum())
-    dist = dist.pruned()
+    dist = distribution_from_weights(grid, solution.weights)
     report = SdeReport(
         n=n,
         norm_bound=norm_bound,

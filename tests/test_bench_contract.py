@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentforge.cli import build_parser
 from momentforge.distributions import DiscreteDistribution, Grid, MomentVector, cheb_moments
 from momentforge.dpsynth import PrivacyBudget
 from momentforge.fileio import save_moments_csv
@@ -161,6 +163,46 @@ def test_workload_call_binds(name, positional, keywords):
     for part in name.split(".")[1:]:
         owner = getattr(owner, part)
     inspect.signature(owner).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def _cli_flags():
+    """(subcommand, flag, line) for each `--flag` in an argv list literal the
+    workloads pass to `cli.main`, the list found by the name it is assigned
+    to in the module-level function that makes the call."""
+    found = set()
+    for fn in ast.parse(WORKLOADS.read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        lists = {
+            target.id: node.value
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and _dotted(call.func) == ["cli", "main"]):
+                continue
+            argv = lists[call.args[0].id].elts
+            words = [e.value for e in argv if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            found.update((words[0], w, argv[0].lineno) for w in words if w.startswith("--"))
+    return sorted(found)
+
+
+def test_workload_cli_flags_cover_both_subcommands():
+    assert {sub for sub, _, _ in _cli_flags()} == {"recover", "popmle"}
+
+
+@pytest.mark.parametrize("subcommand,flag", [
+    pytest.param(sub, flag, id=f"{sub}:{line}:{flag}") for sub, flag, line in _cli_flags()
+])
+def test_workload_cli_flag_is_known(subcommand, flag):
+    # the benchmark's argv lists stay fixed while the CLI changes under
+    # them, so a removed option would otherwise fail only in a benchmark run
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert subcommand in subparsers.choices
+    assert flag in subparsers.choices[subcommand]._option_string_actions
 
 
 # where each traced fileio function takes its path: the tracing hooks call

@@ -17,6 +17,8 @@ from oracles import load_dataset_csv_rows, save_distribution_csv_rows
 
 from momentforge.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from momentforge.distributions import DiscreteDistribution, cheb_moments
+from momentforge.dpsynth import PrivacyBudget, dp_synthesize, expected_error_curve
+from momentforge.experiments import RATE_SLOPE_FAST_END, ScalingRow, mean_w1_by_n, rate_slope_check
 from momentforge.fileio import (
     CsvFormatError,
     load_dataset_csv,
@@ -373,11 +375,16 @@ class TestRecoverCommand:
         dist = load_distribution_csv(out)
         assert dist.weights.sum() == pytest.approx(1.0)
         payload = json.loads(report.read_text())
+        assert set(payload) == {
+            "k", "g", "gamma", "w1_bound", "w1_bound_optimistic", "objective", "iterations", "converged", "manifest"
+        }
         assert payload["k"] == 8
         assert payload["converged"] is True
         assert payload["manifest"]["subcommand"] == "recover"
         assert payload["manifest"]["inputs"] == {"moments": sha256_file(moments_file)}
-        assert payload["manifest"]["parameters"]["moments"] == moments_file.name
+        assert payload["manifest"]["parameters"] == {
+            "moments": moments_file.name, "out": "q.csv", "report": "r.json", "subcommand": "recover"
+        }
 
     def test_report_independent_of_directory(self, tmp_path, moments_file):
         # the manifest names files without their directories
@@ -411,11 +418,6 @@ class TestRecoverCommand:
         ])
         assert code == EXIT_OK
         assert json.loads(report.read_text())["converged"] is True
-
-    def test_mismatched_degree_is_validation(self, tmp_path, moments_file):
-        out = tmp_path / "q.csv"
-        code = main(["recover", "--moments", str(moments_file), "--k", "5", "--out", str(out)])
-        assert code == EXIT_VALIDATION
 
 
 class TestDpSynthCommand:
@@ -453,14 +455,14 @@ class TestDpSynthCommand:
         assert outs[0] == outs[1]
 
     @staticmethod
-    def _run(tmp_path, tag, values, *extra, dim=1):
+    def _run(tmp_path, tag, values, *extra):
         data_path = tmp_path / f"{tag}.csv"
         np.savetxt(data_path, values, fmt="%.8f", delimiter=",")
         out = tmp_path / f"{tag}.dist.csv"
         report = tmp_path / f"{tag}.json"
         code = main([
             "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
-            "--dim", str(dim), "--out", str(out), "--report", str(report), "--evaluate", *extra,
+            "--out", str(out), "--report", str(report), "--evaluate", *extra,
         ])
         assert code == EXIT_OK
         return json.loads(report.read_text()), out.read_bytes()
@@ -473,8 +475,8 @@ class TestDpSynthCommand:
         values = np.random.default_rng(3).uniform(-1, 1, (48, dim)).squeeze()
         inside, outside = values.copy(), values.copy()
         inside[0], outside[0] = 1.0, 1.5
-        a, a_out = self._run(tmp_path, "inside", inside, "--seed", "5", dim=dim)
-        b, b_out = self._run(tmp_path, "outside", outside, "--seed", "5", dim=dim)
+        a, a_out = self._run(tmp_path, "inside", inside, "--seed", "5")
+        b, b_out = self._run(tmp_path, "outside", outside, "--seed", "5")
         assert json.dumps(a["release"], sort_keys=True) == json.dumps(b["release"], sort_keys=True)
         assert a_out == b_out
         assert a["diagnostics"]["clamped"] == 0
@@ -508,19 +510,31 @@ class TestDpSynthCommand:
             assert again_dist == dist
             assert again["release"] == payload["release"]
 
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_dimension_is_the_file_column_count(self, tmp_path, columns):
+        # the CLI passes the file's (n, d) array on: the same distribution
+        # bytes as the library call at the same seed
+        values = np.random.default_rng(9).uniform(-1, 1, (48, columns))
+        payload, dist_bytes = self._run(tmp_path, "data", values, "--seed", "5")
+        result = dp_synthesize(
+            load_dataset_csv(tmp_path / "data.csv"), PrivacyBudget(epsilon=0.5, delta=0.01), 5
+        )
+        save_distribution_csv(result.distribution, tmp_path / "library.csv")
+        assert dist_bytes == (tmp_path / "library.csv").read_bytes()
+        assert payload["release"]["k"] == result.noisy_moments.k
+        assert "dim" not in payload["diagnostics"]["manifest"]["parameters"]
+        assert "w1_vs_input" not in payload["diagnostics"]  # --evaluate is for 1-D data
 
-    @pytest.mark.parametrize("columns,dim", [(3, 2), (2, 3), (2, 1), (1, 2)])
-    def test_dim_must_match_the_file(self, tmp_path, capsys, columns, dim):
+    def test_four_columns_are_refused(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
-        values = np.random.default_rng(8).uniform(-1, 1, (40, columns)).squeeze()
-        np.savetxt(data_path, values, fmt="%.8f", delimiter=",")
+        np.savetxt(data_path, np.random.default_rng(8).uniform(-1, 1, (40, 4)), fmt="%.8f", delimiter=",")
         out, report = tmp_path / "q.csv", tmp_path / "r.json"
         code = main([
             "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
-            "--seed", "1", "--dim", str(dim), "--out", str(out), "--report", str(report),
+            "--seed", "1", "--out", str(out), "--report", str(report),
         ])
         assert code == EXIT_VALIDATION
-        assert f"--dim {dim}" in capsys.readouterr().err
+        assert "d in {2, 3}" in capsys.readouterr().err
         assert not out.exists() and not report.exists()
 
 
@@ -619,8 +633,6 @@ class TestExperimentCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert set(rows[0]) == {"n", "trial", "w1", "expected_bound"}
-        from momentforge.dpsynth import expected_error_curve
-
         for row in rows:
             n = int(row["n"])
             assert float(row["expected_bound"]) == pytest.approx(expected_error_curve(n, 0.5, 1.0 / n**2))
@@ -641,21 +653,30 @@ class TestExperimentCommand:
         assert "--nm" in run.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("bounds", [["--nmin", "0"], ["--nmin", "256", "--nmax", "128"]])
-    def test_scaling_script_refuses_the_same_ranges(self, tmp_path, bounds):
-        # the script shares the CLI's n list; it used to print a NaN slope
-        # after a RuntimeWarning at --nmax < --nmin
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        out = tmp_path / "rows.csv"
-        run = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_dp_scaling.py"), "--dist", "sine", *bounds,
-             "--trials", "1", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert run.returncode == EXIT_VALIDATION, run.stderr
-        assert "--nm" in run.stderr
-        assert not out.exists()
+    @pytest.mark.parametrize("nmax", ["64", "32"])
+    def test_report_checks_the_rate_of_the_rows_it_wrote(self, tmp_path, nmax):
+        # a one-size sweep has no log-log slope (0/0): slope, window and
+        # verdict are null rather than a RuntimeWarning and a NaN
+        out, report = tmp_path / "rows.csv", tmp_path / "r.json"
+        code = main([
+            "experiment-dp", "--dist", "gaussian", "--nmin", "32", "--nmax", nmax,
+            "--trials", "2", "--seed", "11", "--out", str(out), "--report", str(report),
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(report.read_text())
+        with open(out) as fh:
+            rows = [ScalingRow(int(r["n"]), int(r["trial"]), float(r["w1"]), float(r["expected_bound"]))
+                    for r in csv.DictReader(fh)]
+        ns, means = mean_w1_by_n(rows)
+        assert payload["n_values"] == ns and payload["mean_w1"] == means
+        assert payload["expected_bound"] == [expected_error_curve(n, 0.5, 1.0 / n**2) for n in ns]
+        if len(ns) == 1:
+            assert payload["slope"] is payload["slope_window"] is payload["slope_ok"] is None
+        else:
+            check = rate_slope_check(ns, means, 0.5)
+            assert payload["slope"] == check.slope
+            assert payload["slope_window"] == [RATE_SLOPE_FAST_END, check.slow_end]
+            assert payload["slope_ok"] is check.ok
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -515,6 +515,17 @@ class TestReplay:
         with pytest.raises(ValueError, match="finite"):
             NoisyMoments(values=[0.1, np.nan], variances=np.zeros(2), indices=multi_index_array(2, 1))
 
+    @pytest.mark.parametrize("indices", [[[1.5], [2.7]], [[1.0], [np.inf]], [[np.nan], [2.0]]])
+    def test_release_refuses_indices_that_are_not_whole(self, indices):
+        # an int64 cast would read [[1.5], [2.7]] as rows 1, 2 and fit it
+        with pytest.raises(ValueError, match="whole numbers"):
+            NoisyMoments(values=[0.1, 0.2], variances=np.zeros(2), indices=indices)
+
+    def test_release_takes_whole_float_indices(self):
+        as_floats = NoisyMoments(values=[0.1, 0.2], variances=np.zeros(2), indices=[[1.0], [2.0]])
+        assert as_floats.indices.dtype == np.int64
+        assert np.array_equal(as_floats.indices, multi_index_array(2, 1))
+
     def test_tensor_replay_rejects_other_indices(self):
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         data = np.random.default_rng(12).uniform(-1, 1, (32, 2))
