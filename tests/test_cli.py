@@ -525,6 +525,25 @@ class TestDpSynthCommand:
         assert "dim" not in payload["diagnostics"]["manifest"]["parameters"]
         assert "w1_vs_input" not in payload["diagnostics"]  # --evaluate is for 1-D data
 
+    @pytest.mark.parametrize("columns,dim", [(3, 2), (2, 3), (2, 1), (1, 2)])
+    def test_dim_must_match_the_file(self, tmp_path, capsys, columns, dim):
+        # the dimension is the file's column count: a stated --dim is an
+        # unknown option, refused before anything is written, and the
+        # release is fit in the file's own dimension
+        data_path = tmp_path / "data.csv"
+        values = np.random.default_rng(8).uniform(-1, 1, (40, columns)).squeeze()
+        np.savetxt(data_path, values, fmt="%.8f", delimiter=",")
+        out, report = tmp_path / "q.csv", tmp_path / "r.json"
+        argv = [
+            "dp-synth", "--data", str(data_path), "--epsilon", "0.5", "--delta", "0.01",
+            "--seed", "1", "--out", str(out), "--report", str(report),
+        ]
+        assert main([*argv, "--dim", str(dim)]) == EXIT_USAGE
+        assert "--dim" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+        assert main(argv) == EXIT_OK
+        assert json.loads(report.read_text())["release"]["d"] == columns
+
     def test_four_columns_are_refused(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
         np.savetxt(data_path, np.random.default_rng(8).uniform(-1, 1, (40, 4)), fmt="%.8f", delimiter=",")
