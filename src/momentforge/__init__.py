@@ -22,7 +22,6 @@ from .distributions import (
     MomentErrorReport,
     MomentVector,
     cheb_moments,
-    cheb_moments_multi,
     moment_error_gamma,
     round_to_grid,
     w1_distance,

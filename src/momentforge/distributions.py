@@ -1,9 +1,13 @@
 """Discrete distributions on [-1,1]^d and the operations built on them.
 
-Holds the weighted-point-mass representation used everywhere, Chebyshev
-moment computation (1-D and tensor), the exact 1-D Wasserstein-1 distance
-via the CDF-difference integral, grids with deterministic rounding rules,
-and the weighted moment-error functional with its distance bounds.
+Holds the weighted-point-mass representation used everywhere, the exact
+1-D Wasserstein-1 distance via the CDF-difference integral, and the
+weighted moment-error functional with its distance bounds. Every rule here
+that depends on the dimension serves d = 1, 2, 3 alike: the index box
+{0..m}^d in C order, built in one place, orders both the Chebyshev moments
+(`cheb_moments`, rows of `multi_index_array(m, d)`) and the points of a
+uniform grid (`Grid.uniform(half_steps, d)`), on which `grid_round_indices`
+rounds each coordinate on its axis with ties toward the smaller value.
 """
 
 from __future__ import annotations
@@ -130,49 +134,49 @@ class MomentVector:
         return self.values.size
 
 
-def cheb_moments(p, k):
-    """First k Chebyshev moments sum_i w_i T_j(x_i), j = 1..k (1-D only)."""
-    if p.d != 1:
-        raise ValueError("use cheb_moments_multi for d > 1")
-    if k < 1:
+def cheb_moments(p, m):
+    """Plain Chebyshev moments sum_i w_i prod_a T_{K_a}(x_{i,a}) for the rows
+    K of `multi_index_array(m, d)`, in that order (d in {1, 2, 3}): in 1-D
+    the moments j = 1..m.
+
+    One contraction of the weights with the per-axis Chebyshev tables gives
+    the moments for all of {0..m}^d in C order; the zero index is its first
+    entry and is dropped.
+    """
+    if p.d > 3:
+        raise ValueError("moments are defined for d in {1, 2, 3}")
+    if m < 1:
         raise ValueError("need at least one moment")
-    table = cheb_t_table(k, p.support)
-    return MomentVector(table[1:] @ p.weights)
+    tables = [cheb_t_table(m, x) for x in p.support.reshape(p.size, p.d).T]
+    if p.d == 1:
+        # the matrix product, whose last bits an einsum does not reproduce
+        return MomentVector(tables[0][1:] @ p.weights)
+    axes = "abc"[: p.d]
+    spec = ",".join(a + "i" for a in axes) + ",i->" + axes
+    full = np.einsum(spec, *tables, p.weights, optimize=True)
+    return MomentVector(full.ravel()[1:])
+
+
+def _index_box(m, d):
+    """All of {0..m}^d in C (lexicographic) order, as the rows of an integer
+    ((m+1)^d, d) array."""
+    if d not in (1, 2, 3):
+        raise ValueError("index arrays are defined for d in {1, 2, 3}")
+    axes = np.meshgrid(*([np.arange(m + 1)] * d), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
 
 
 def multi_index_array(m, d):
     """All K in {0..m}^d except the zero index, in lexicographic order, as
     the rows of an integer (k, d) array; for d = 1 the (m, 1) rows 1..m."""
-    if d not in (1, 2, 3):
-        raise ValueError("index arrays are defined for d in {1, 2, 3}")
-    grids = np.meshgrid(*([np.arange(m + 1)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)[1:]
+    return _index_box(m, d)[1:]
 
 
-def multi_moment_normalizers(indices, d):
+def multi_moment_normalizers(indices):
     """sqrt(2^nnz(K) / pi^d), the orthonormal-basis scale, for each row K
     of an integer (k, d) index array."""
     nnz = np.count_nonzero(indices, axis=1)
-    return np.sqrt(2.0**nnz / math.pi**d)
-
-
-def cheb_moments_multi(p, m):
-    """Plain tensor moments sum_i w_i prod_a T_{K_a}(x_{i,a}) for the rows
-    K of `multi_index_array(m, d)`, in that order (d in {2, 3}).
-
-    One contraction of the weights with the per-axis Chebyshev tables
-    gives the moments for all of {0..m}^d in C order; the zero index is
-    its first entry and is dropped.
-    """
-    if p.d == 1:
-        raise ValueError("use cheb_moments for d = 1")
-    if p.d > 3:
-        raise ValueError("tensor moments are defined for d in {2, 3}")
-    tables = [cheb_t_table(m, p.support[:, axis]) for axis in range(p.d)]
-    axes = "abc"[: p.d]
-    spec = ",".join(a + "i" for a in axes) + ",i->" + axes
-    full = np.einsum(spec, *tables, p.weights, optimize=True)
-    return MomentVector(full.ravel()[1:])
+    return np.sqrt(2.0**nnz / math.pi ** indices.shape[1])
 
 
 def w1_distance(p, q):
@@ -214,19 +218,14 @@ def moment_error_gamma(mp, mq):
     )
 
 
-UNIFORM = "uniform"
-CHEBYSHEV_NODES = "chebyshev_nodes"
-TENSOR_UNIFORM = "tensor_uniform"
-
-
 @dataclass(frozen=True)
 class Grid:
-    """A materialized point grid with the metadata rounding needs."""
+    """A materialized point grid: (g,) points in 1-D, (g, d) rows for a
+    tensor grid. A uniform grid also holds its steps per half interval,
+    which rounding needs; Chebyshev nodes hold None."""
 
-    kind: str
     points: np.ndarray = field(repr=False)
-    spacing: float = None
-    axis_points: np.ndarray = field(default=None, repr=False)
+    half_steps: int = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -235,10 +234,6 @@ class Grid:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.axis_points is not None:
-            ax = np.asarray(self.axis_points, dtype=float).copy()
-            ax.setflags(write=False)
-            object.__setattr__(self, "axis_points", ax)
 
     @property
     def size(self):
@@ -249,40 +244,22 @@ class Grid:
         return 1 if self.points.ndim == 1 else self.points.shape[1]
 
     @property
-    def half_steps(self):
-        """Steps per half interval of a uniform or tensor grid: 1 / spacing."""
-        return int(round(1.0 / self.spacing))
+    def axis_points(self):
+        """The 2 * half_steps + 1 values each axis of a uniform grid takes."""
+        return -1.0 + np.arange(2 * self.half_steps + 1) / self.half_steps
 
     @classmethod
-    def uniform(cls, half_steps):
-        """Points -1, -1 + 1/half_steps, ..., 1 (2*half_steps + 1 of them)."""
+    def uniform(cls, half_steps, d=1):
+        """The points -1, -1 + 1/half_steps, ..., 1 on each of d axes, all
+        (2 * half_steps + 1)^d of them in C order."""
         if half_steps < 1:
             raise ValueError("need at least one step per half interval")
-        idx = np.arange(2 * half_steps + 1)
-        pts = -1.0 + idx / half_steps
-        return cls(UNIFORM, pts, spacing=1.0 / half_steps)
+        pts = -1.0 + _index_box(2 * half_steps, d) / half_steps
+        return cls(pts[:, 0] if d == 1 else pts, half_steps)
 
     @classmethod
     def chebyshev(cls, g):
-        return cls(CHEBYSHEV_NODES, chebyshev_nodes(g))
-
-    @classmethod
-    def tensor_uniform(cls, half_steps, d):
-        if d not in (2, 3):
-            raise ValueError("tensor grids are for d in {2, 3}")
-        axis = Grid.uniform(half_steps).points
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        return cls(TENSOR_UNIFORM, pts, spacing=1.0 / half_steps, axis_points=axis)
-
-
-def _round_uniform_axis(values, half_steps, axis_points):
-    # Index arithmetic: ties sit exactly between grid points and the
-    # ceil(u - 0.5) rule sends them to the smaller grid value.
-    u = (np.asarray(values, dtype=float) + 1.0) * half_steps
-    idx = np.ceil(u - 0.5).astype(int)
-    np.clip(idx, 0, axis_points.size - 1, out=idx)
-    return idx
+        return cls(chebyshev_nodes(g))
 
 
 def round_to_grid(points, grid):
@@ -292,14 +269,19 @@ def round_to_grid(points, grid):
 
 def grid_round_indices(points, grid):
     """Index form of round_to_grid: the row of `grid.points` each point
-    rounds to. A tensor grid rounds each coordinate on its axis and returns
-    the flat C-order index of the result."""
-    if grid.kind == UNIFORM:
-        return _round_uniform_axis(points, grid.half_steps, grid.points)
-    if grid.kind != TENSOR_UNIFORM:
+    rounds to. Points have the shape of the grid's: (n,) in 1-D, else
+    (n, d). Each coordinate rounds on its axis, and the result is the flat
+    C-order index."""
+    if grid.half_steps is None:
         raise ValueError("rounding is defined on uniform grids")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != grid.d:
-        raise ValueError(f"expected an (n, {grid.d}) array of points")
-    axes = [_round_uniform_axis(pts[:, a], grid.half_steps, grid.axis_points) for a in range(grid.d)]
-    return np.ravel_multi_index(axes, (grid.axis_points.size,) * grid.d)
+    if pts.ndim != grid.points.ndim or pts.shape[1:] != grid.points.shape[1:]:
+        shape = "(n,)" if grid.d == 1 else f"(n, {grid.d})"
+        raise ValueError(f"expected an {shape} array of points")
+    # Index arithmetic: ties sit exactly between grid points and the
+    # ceil(u - 0.5) rule sends them to the smaller grid value.
+    u = (pts.reshape(-1, grid.d) + 1.0) * grid.half_steps
+    idx = np.ceil(u - 0.5).astype(int)
+    axis_size = 2 * grid.half_steps + 1
+    np.clip(idx, 0, axis_size - 1, out=idx)
+    return np.ravel_multi_index(tuple(idx.T), (axis_size,) * grid.d)

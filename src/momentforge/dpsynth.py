@@ -1,9 +1,9 @@
 """Private synthetic data via noisy Chebyshev moment matching.
 
 One pipeline, `dp_synthesize`, serves d = 1, 2 and 3: it rounds the data to
-a uniform (tensor, for d > 1) grid, releases Gaussian-noised normalized
-moments of degree m = ceil(2 (eps n)^{1/d}) per axis with variances
-||K||_2 sigma^2, and fits a distribution on the same grid by the
+the uniform grid `Grid.uniform(ceil(m / 2), d)`, releases Gaussian-noised
+normalized moments of degree m = ceil(2 (eps n)^{1/d}) per axis with
+variances ||K||_2 sigma^2, and fits a distribution on the same grid by the
 1/||K||_2^2-weighted moment regression. Every release carries its integer
 index array `multi_index_array(m, d)`, the (k, 1) rows 1..k in 1-D. The
 moment map (`_release_basis`, built once per release for the exact moments
@@ -24,7 +24,8 @@ sigma^2 depends on n (as 1/n^2), so a release reveals n. Data outside
 [-1,1] is clamped and counted; the count (`DpSynthesisReport.clamped`) is
 of clamped coordinates, not points (a tensor point at (1.5, 1.5) counts 2).
 It is data-dependent and not privatized, so it is a private diagnostic, not
-part of the release.
+part of the release. The report's 1-D error bounds are None for a tensor
+release, as its `norm_sum` is in 1-D.
 """
 
 from __future__ import annotations
@@ -93,12 +94,8 @@ def sensitivity_sq_bound(n, k):
 
 
 def norm_inverse_sum(m, d):
-    """Exact sum of 1/||K||_2 over K in {0..m}^d \\ {0}."""
-    if d not in (2, 3):
-        raise ValueError("norm sum is defined for d in {2, 3}")
-    axes = np.meshgrid(*([np.arange(m + 1)] * d), indexing="ij")
-    sq = sum(a.astype(np.int64) ** 2 for a in axes).ravel()[1:]
-    return float(np.sum(1.0 / np.sqrt(sq)))
+    """Exact sum of 1/||K||_2 over the rows K of `multi_index_array(m, d)`."""
+    return float(np.sum(1.0 / np.sqrt(_norms_sq(multi_index_array(m, d)))))
 
 
 def norm_inverse_sum_bound(m, d):
@@ -200,15 +197,15 @@ class DpSynthesisReport:
     r: int
     sigma2: float
     gamma: float
-    expected_bound: float
+    expected_bound: float  # None for a tensor release, like norm_sum in 1-D
     hp_bound_beta05: float
     clamped: int  # clamped coordinates, not points: (1.5, 1.5) counts 2
     objective: float
     iterations: int
     converged: bool
-    d: int = 1
-    norm_sum: float = None
-    rounding_bound: float = None
+    d: int
+    norm_sum: float
+    rounding_bound: float
 
 
 @dataclass
@@ -226,11 +223,10 @@ def _clamp_data(arr):
 
 
 def _release_grid(degree, d):
-    """The grid of a release of degree m per axis: ceil(m / 2) half steps
-    per axis, uniform for d = 1 and tensor for d in {2, 3}; so degree
-    ceil(2 r) gives ceil(r) half steps."""
-    half_steps = math.ceil(degree / 2)
-    return Grid.uniform(half_steps) if d == 1 else Grid.tensor_uniform(half_steps, d)
+    """The grid of a release of degree m per axis: the uniform grid of
+    ceil(m / 2) half steps on each of its d axes; so degree ceil(2 r) gives
+    ceil(r) half steps."""
+    return Grid.uniform(math.ceil(degree / 2), d)
 
 
 def _release_basis(grid, degree, d):
@@ -248,8 +244,8 @@ def synthesize_from_noisy_moments(noisy):
     """Post-processing half of the pipeline: fit the grid distribution to
     the released noisy moments. Pure in the release, whose indices must be
     `multi_index_array(m, d)` for some m and d (else it is a ValueError):
-    they fix the grid (`_release_grid`, so k moments in 1-D fit on
-    `Grid.uniform(ceil(k / 2))`) and the moment map (`_release_basis`).
+    they fix the grid (`_release_grid`, so degree m fits on
+    `Grid.uniform(ceil(m / 2), d)`) and the moment map (`_release_basis`).
     Returns the distribution and the fit's `QPSolution`.
     """
     m, d = int(noisy.indices.max()), noisy.indices.shape[1]
@@ -285,7 +281,7 @@ def dp_synthesize(data, budget, seed):
     curves = (
         (expected_error_curve(n, eps, delta), high_probability_bound(n, eps, delta, 0.05))
         if d == 1
-        else (math.nan, math.nan)
+        else (None, None)
     )
     if n < 2:
         raise ValueError("need at least two data points")

@@ -123,16 +123,19 @@ def _header(path):
     return [h.strip() for h in line.split(",")]
 
 
+def _distribution_header(d):
+    """x,weight in 1-D, else x1,..,xd,weight."""
+    return (["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]) + ["weight"]
+
+
 def save_distribution_csv(dist, path):
     """Header x,weight (or x1,x2[,x3],weight); 17-digit decimal floats."""
     d = dist.d
-    header = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
-    header.append("weight")
     support = dist.support if d > 1 else dist.support[:, None]
     table = np.column_stack([support, dist.weights])
     row = ",".join(["%.17g"] * (d + 1)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_distribution_header(d)) + "\r\n")
         fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
@@ -141,8 +144,7 @@ def load_distribution_csv(path):
     the weights sum more than 1e-6 away from 1."""
     header = _header(path)
     d = len(header) - 1
-    expected = {1: ["x", "weight"], 2: ["x1", "x2", "weight"], 3: ["x1", "x2", "x3", "weight"]}
-    if expected.get(d) != header:
+    if d not in (1, 2, 3) or header != _distribution_header(d):
         raise CsvFormatError(path, 1, f"unexpected header {header!r}")
     data = _numeric_rows(path, skip=1, width=d + 1)
     support = data[:, 0] if d == 1 else data[:, :d]
@@ -218,6 +220,8 @@ def sha256_file(path):
 
 
 def write_json_report(payload, path):
+    """Strict JSON: a NaN or infinite value raises ValueError before the
+    file is opened, since RFC 8259 has no token for it."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -196,11 +196,12 @@ class NufftBasis:
 
 
 class KroneckerBasis:
-    """The normalized tensor moments on the C-order tensor grid of
-    `axis_points` in d = 2 or 3: row K of `indices`, the integer (k, d)
+    """The normalized tensor moments on the C-order grid of d = 2 or 3 axes
+    that each take the values `axis_points`, as `Grid.uniform(h, d)` does
+    with its `axis_points`: row K of `indices`, the integer (k, d)
     array `multi_index_array(m, d)`, maps z to
     sqrt(2^nnz(K) / pi^d) sum_i z_i prod_a T_{K_a}(x_{i,a}), the scale
-    being K's entry of `multi_moment_normalizers`.
+    being K's entry of `multi_moment_normalizers(indices)`.
 
     The box {0..m}^d minus the origin makes the map a Kronecker product of
     one (m+1) x len(axis_points) Chebyshev table per axis, so `apply`
@@ -217,7 +218,7 @@ class KroneckerBasis:
         self.size = self.table.shape[1] ** d
         self.k = (m + 1) ** d - 1
         self.indices = multi_index_array(m, d)
-        self.scale = multi_moment_normalizers(self.indices, d)
+        self.scale = multi_moment_normalizers(self.indices)
 
     def apply(self, z):
         out = z.reshape(self.shape_in)

@@ -17,7 +17,7 @@ import numpy as np
 
 from momentforge._normal import seeded_rademacher
 from momentforge.chebyshev import cheb_t
-from momentforge.distributions import CHEBYSHEV_NODES, DiscreteDistribution
+from momentforge.distributions import DiscreteDistribution
 from momentforge.fileio import CsvFormatError
 
 DOMAIN_SLACK = 1e-12
@@ -94,8 +94,8 @@ def arccos_round(x, grid):
 
     The gap satisfies |arccos x - arccos y| <= pi / (2 g).
     """
-    if grid.kind != CHEBYSHEV_NODES:
-        raise ValueError("arccos rounding needs a chebyshev_nodes grid")
+    if grid.half_steps is not None:
+        raise ValueError("arccos rounding needs a Chebyshev-node grid")
     g = grid.size
     xv = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
     theta = np.arccos(xv)

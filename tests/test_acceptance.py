@@ -26,7 +26,6 @@ from momentforge.distributions import (
     DiscreteDistribution,
     Grid,
     cheb_moments,
-    cheb_moments_multi,
     multi_index_array,
     multi_moment_normalizers,
     w1_distance,
@@ -506,14 +505,14 @@ def test_criterion_10_multivariate():
     budget = PrivacyBudget(epsilon=0.5, delta=0.01)
     n = 32
     root = (budget.epsilon * n) ** 0.5
-    grid = Grid.tensor_uniform(math.ceil(root), 2)
+    grid = Grid.uniform(math.ceil(root), 2)
     data = grid.points[rng.integers(0, grid.points.shape[0], n)]
     # the noiseless fit: replay the exact release of the data's own moments
     m = math.ceil(2.0 * root)
     indices = multi_index_array(m, 2)
-    moments = cheb_moments_multi(DiscreteDistribution.uniform_over(data), m).values
+    moments = cheb_moments(DiscreteDistribution.uniform_over(data), m).values
     exact = NoisyMoments(
-        values=moments * multi_moment_normalizers(indices, 2),
+        values=moments * multi_moment_normalizers(indices),
         variances=np.zeros(indices.shape[0]),
         indices=indices,
     )

@@ -28,6 +28,7 @@ from momentforge.fileio import (
     save_distribution_csv,
     save_moments_csv,
     sha256_file,
+    write_json_report,
 )
 
 
@@ -59,6 +60,15 @@ DATASET_BAD_ROWS = [
     ("3\n3.0\n\n , ,\n4,5\n", 5, "wrong number of fields"),
     ("x\n9223372036854775808\nnan\n1e2\n0x10\n", 5, "non-numeric field"),
 ]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"report holds the non-JSON token {token}")
+
+
+def read_report(path):
+    """A JSON report, parsed strictly: a NaN or Infinity token fails."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
 
 
 @pytest.fixture()
@@ -263,6 +273,13 @@ class TestFileIo:
         assert self._saved_like_csv_writer(one)
         assert self._saved_like_csv_writer(many)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_report_refuses_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            write_json_report({"ok": 1.0, "bad": value}, path)
+        assert not path.exists()
+
     def test_matrix_market_symmetric(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text(
@@ -374,7 +391,7 @@ class TestRecoverCommand:
         assert code == EXIT_OK
         dist = load_distribution_csv(out)
         assert dist.weights.sum() == pytest.approx(1.0)
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         assert set(payload) == {
             "k", "g", "gamma", "w1_bound", "w1_bound_optimistic", "objective", "iterations", "converged", "manifest"
         }
@@ -417,7 +434,7 @@ class TestRecoverCommand:
             "--report", str(report),
         ])
         assert code == EXIT_OK
-        assert json.loads(report.read_text())["converged"] is True
+        assert read_report(report)["converged"] is True
 
 
 class TestDpSynthCommand:
@@ -432,7 +449,7 @@ class TestDpSynthCommand:
             "--seed", "7", "--out", str(out), "--report", str(report), "--evaluate",
         ])
         assert code == EXIT_OK
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         assert set(payload) == {"release", "diagnostics"}
         assert payload["release"]["n"] == 64
         assert payload["release"]["k"] == 64
@@ -465,7 +482,7 @@ class TestDpSynthCommand:
             "--out", str(out), "--report", str(report), "--evaluate", *extra,
         ])
         assert code == EXIT_OK
-        return json.loads(report.read_text()), out.read_bytes()
+        return read_report(report), out.read_bytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_release_part_ignores_the_clamp_count(self, tmp_path, dim):
@@ -542,7 +559,16 @@ class TestDpSynthCommand:
         assert "--dim" in capsys.readouterr().err
         assert not out.exists() and not report.exists()
         assert main(argv) == EXIT_OK
-        assert json.loads(report.read_text())["release"]["d"] == columns
+        assert read_report(report)["release"]["d"] == columns
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_tensor_report_is_strict_json(self, tmp_path, columns):
+        # the 1-D error bounds have no tensor value: null, not a bare NaN
+        values = np.random.default_rng(12).uniform(-1, 1, (40, columns))
+        payload, _ = self._run(tmp_path, "data", values, "--seed", "3")
+        assert payload["release"]["d"] == columns
+        assert payload["release"]["expected_bound"] is None
+        assert payload["release"]["hp_bound_beta05"] is None
 
     def test_four_columns_are_refused(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
@@ -571,7 +597,7 @@ class TestSdeCommand:
             "--seed", "5", "--out", str(out), "--report", str(report),
         ])
         assert code == EXIT_OK
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         assert payload["n"] == 12
         assert payload["path"] == "dense"
         assert payload["matvecs"] == 12
@@ -607,7 +633,7 @@ class TestPopmleCommand:
             "--out", str(out), "--report", str(report), "--truth", str(truth_path),
         ])
         assert code == EXIT_OK
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         assert payload["w1_vs_truth"] < payload["w1_naive_vs_truth"]
         trace = payload["log_likelihood_trace"]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -627,7 +653,7 @@ class TestPopmleCommand:
             run.mkdir()
             np.savetxt(run / "obs.csv", obs, fmt=fmt)
             assert self._popmle(run / "obs.csv", run / "q.csv", run / "r.json") == EXIT_OK
-            outputs.append(((run / "q.csv").read_bytes(), json.loads((run / "r.json").read_text())))
+            outputs.append(((run / "q.csv").read_bytes(), read_report(run / "r.json")))
         (int_dist, int_report), (float_dist, float_report) = outputs
         assert int_dist == float_dist
         assert int_report["manifest"].pop("inputs") != float_report["manifest"].pop("inputs")
@@ -682,7 +708,7 @@ class TestExperimentCommand:
             "--trials", "2", "--seed", "11", "--out", str(out), "--report", str(report),
         ])
         assert code == EXIT_OK
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         with open(out) as fh:
             rows = [ScalingRow(int(r["n"]), int(r["trial"]), float(r["w1"]), float(r["expected_bound"]))
                     for r in csv.DictReader(fh)]
@@ -762,7 +788,7 @@ class TestSeedEnvVar:
             "--delta", "0.01", "--out", str(out), "--report", str(report),
         ])
         assert code == EXIT_OK
-        payload = json.loads(report.read_text())
+        payload = read_report(report)
         assert payload["diagnostics"]["manifest"]["seed"] == 99
 
     def test_env_seed_read_on_every_call(self, tmp_path, monkeypatch):
@@ -782,7 +808,7 @@ class TestSeedEnvVar:
                 "--out", str(tmp_path / "q.csv"), "--report", str(report), *extra,
             ])
             assert code == EXIT_OK
-            return json.loads(report.read_text())["diagnostics"]["manifest"]["seed"]
+            return read_report(report)["diagnostics"]["manifest"]["seed"]
 
         assert recorded_seed("7") == 7
         assert recorded_seed("8") == 8

@@ -15,7 +15,6 @@ from momentforge.distributions import (
     Grid,
     MomentVector,
     cheb_moments,
-    cheb_moments_multi,
     grid_round_indices,
     moment_error_gamma,
     multi_index_array,
@@ -108,14 +107,14 @@ class TestMoments:
             p = random_distribution(rng)
             assert np.max(np.abs(cheb_moments(p, 12).values)) <= 1 + 1e-12
 
-    def test_rejects_multidim(self):
-        p = DiscreteDistribution(np.array([[0.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            cheb_moments(p, 3)
+    def test_rejects_four_dimensions(self):
+        p = DiscreteDistribution(np.zeros((1, 4)), np.array([1.0]))
+        with pytest.raises(ValueError, match="d in"):
+            cheb_moments(p, 2)
 
 
 def tensor_moment(moments, K, m):
-    """The entry of index K in `cheb_moments_multi(p, m)`: its row of
+    """The entry of index K in `cheb_moments(p, m)`: its row of
     `multi_index_array(m, len(K))`, the C-order position less one."""
     return moments.values[np.ravel_multi_index(K, (m + 1,) * len(K)) - 1]
 
@@ -123,34 +122,30 @@ def tensor_moment(moments, K, m):
 class TestMomentsMulti:
     def test_point_mass_at_corner(self):
         p = DiscreteDistribution(np.array([[1.0, 1.0]]), np.array([1.0]))
-        moments = cheb_moments_multi(p, 2)
+        moments = cheb_moments(p, 2)
         assert tensor_moment(moments, (2, 2), 2) == pytest.approx(1.0)
 
     def test_symmetry_cancels(self):
         p = DiscreteDistribution(np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
-        moments = cheb_moments_multi(p, 2)
+        moments = cheb_moments(p, 2)
         assert tensor_moment(moments, (1, 0), 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_componentwise_hand_values(self):
         p = DiscreteDistribution(np.array([[0.5, 0.0]]), np.array([1.0]))
-        moments = cheb_moments_multi(p, 2)
+        moments = cheb_moments(p, 2)
         # T_1(0.5) * T_2(0) = 0.5 * (-1)
         assert tensor_moment(moments, (1, 2), 2) == pytest.approx(-0.5)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            cheb_moments_multi(DiscreteDistribution.point_mass(0.0), 2)
 
     @pytest.mark.parametrize("d,h", [(2, 3), (2, 8), (3, 2), (3, 4)])
     def test_matches_kronecker_apply(self, d, h):
         # on a tensor grid the plain moments are the Kronecker map's
         # normalized moments of the grid weights, unscaled
-        grid = Grid.tensor_uniform(h, d)
+        grid = Grid.uniform(h, d)
         m = 2 * h
         weights = np.random.default_rng(10 * d + h).dirichlet(np.ones(grid.size))
-        moments = cheb_moments_multi(DiscreteDistribution(grid.points, weights), m)
+        moments = cheb_moments(DiscreteDistribution(grid.points, weights), m)
         basis = KroneckerBasis(grid.axis_points, m, d)
-        expected = basis.apply(weights) / multi_moment_normalizers(basis.indices, d)
+        expected = basis.apply(weights) / multi_moment_normalizers(basis.indices)
         assert np.max(np.abs(moments.values - expected)) <= 1e-13
 
     @pytest.mark.parametrize("m,d", [(3, 2), (2, 3)])
@@ -163,7 +158,7 @@ class TestMomentsMulti:
             sum(w * cheb_t_multi(K, x) for x, w in zip(p.support, p.weights))
             for K in multi_index_array(m, d)
         ]
-        assert np.max(np.abs(cheb_moments_multi(p, m).values - ref)) <= 1e-14
+        assert np.max(np.abs(cheb_moments(p, m).values - ref)) <= 1e-14
 
     @pytest.mark.parametrize("m,d", [(1, 2), (5, 2), (4, 3), (16, 3)])
     def test_index_array_matches_tuple_loop(self, m, d):
@@ -172,7 +167,7 @@ class TestMomentsMulti:
         ref = [K for K in itertools.product(range(m + 1), repeat=d)][1:]
         assert indices.dtype.kind == "i" and indices.shape == ((m + 1) ** d - 1, d)
         assert [tuple(row) for row in indices.tolist()] == ref
-        scales = multi_moment_normalizers(indices, d)
+        scales = multi_moment_normalizers(indices)
         nnz = [sum(1 for v in K if v != 0) for K in ref]
         assert scales.tolist() == [math.sqrt(2.0**c / math.pi**d) for c in nnz]
 
@@ -245,7 +240,7 @@ class TestGrids:
     def test_uniform_grid_shape(self):
         grid = Grid.uniform(2)
         assert grid.points == pytest.approx([-1, -0.5, 0, 0.5, 1])
-        assert grid.spacing == 0.5
+        assert grid.half_steps == 2
 
     def test_round_basic(self):
         grid = Grid.uniform(2)
@@ -265,11 +260,11 @@ class TestGrids:
         grid = Grid.uniform(7)
         xs = rng.uniform(-1, 1, 2000)
         rounded = round_to_grid(xs, grid)
-        assert np.max(np.abs(rounded - xs)) <= grid.spacing / 2 + 1e-12
+        assert np.max(np.abs(rounded - xs)) <= 0.5 / grid.half_steps + 1e-12
 
     @pytest.mark.parametrize(
         "grid",
-        [Grid.uniform(5), Grid.tensor_uniform(3, 2), Grid.tensor_uniform(2, 3)],
+        [Grid.uniform(5), Grid.uniform(3, 2), Grid.uniform(2, 3)],
         ids=["uniform", "tensor-d2", "tensor-d3"],
     )
     def test_round_indices_match_values(self, grid):
@@ -285,10 +280,23 @@ class TestGrids:
 
     def test_tensor_rounding_checks_dimension(self):
         with pytest.raises(ValueError):
-            grid_round_indices(np.zeros((4, 3)), Grid.tensor_uniform(2, 2))
+            grid_round_indices(np.zeros((4, 3)), Grid.uniform(2, 2))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 1), ()])
+    def test_uniform_rounding_checks_dimension(self, shape):
+        # a 1-D grid takes (n,) points only: no index per coordinate of
+        # (n, d) points, and no (n, 1) column
+        with pytest.raises(ValueError, match=r"\(n,\)"):
+            grid_round_indices(np.zeros(shape), Grid.uniform(2))
+        with pytest.raises(ValueError, match=r"\(n,\)"):
+            round_to_grid(np.zeros(shape), Grid.uniform(2))
+
+    def test_chebyshev_nodes_are_not_rounded(self):
+        with pytest.raises(ValueError, match="uniform"):
+            grid_round_indices(np.zeros(3), Grid.chebyshev(5))
 
     def test_tensor_round_per_coordinate(self):
-        grid = Grid.tensor_uniform(2, 2)
+        grid = Grid.uniform(2, 2)
         pts = np.array([[0.26, -0.26], [0.25, 0.75]])
         rounded = round_to_grid(pts, grid)
         assert rounded[0] == pytest.approx([0.5, -0.5])

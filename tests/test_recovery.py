@@ -174,12 +174,12 @@ class TestBases:
 
     @pytest.mark.parametrize("d,h", [(2, 3), (2, 12), (3, 2), (3, 6)])
     def test_kronecker_matches_dense(self, d, h):
-        grid = Grid.tensor_uniform(h, d)
+        grid = Grid.uniform(h, d)
         m = 2 * h
         axis_tables = [cheb_t_table(m, grid.points[:, axis]) for axis in range(d)]
         indices = multi_index_array(m, d)
         rows = np.prod([axis_tables[a][indices[:, a]] for a in range(d)], axis=0)
-        table = multi_moment_normalizers(indices, d)[:, None] * rows
+        table = multi_moment_normalizers(indices)[:, None] * rows
         basis = KroneckerBasis(grid.axis_points, m, d)
         assert_map_matches_table(basis, table, np.random.default_rng(10 * d + h))
 
